@@ -12,6 +12,7 @@
 #include "bench/BenchUtil.h"
 #include "dbt/Dbt.h"
 #include "fault/Campaign.h"
+#include "support/Stats.h"
 #include "support/ThreadPool.h"
 #include "telemetry/LiveExport.h"
 #include "telemetry/Metrics.h"
@@ -24,11 +25,10 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <chrono>
-#include <ctime>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unistd.h>
 #include <vector>
@@ -68,9 +68,12 @@ DbtConfig scrubEnabledConfig() {
   return Config;
 }
 
-/// One timed 181.mcf DBT run, optionally with a service live exporter
-/// publishing an atomic snapshot file every 5 ms alongside it. Shared by
-/// BM_LiveExportOverhead and the deterministic reference run in main().
+/// One 181.mcf DBT run, optionally with a service live exporter
+/// publishing an atomic snapshot file every 5 ms alongside it, timed in
+/// the running thread's CPU seconds: the exporter's snapshot/format/write
+/// cycle rides its own thread, so what the gate prices is the cost the
+/// exporter imposes on the run itself. Shared by BM_LiveExportOverhead
+/// and the reference run in main().
 double timedLiveExportRun(const AsmProgram &Program, bool WithExporter) {
   Memory Mem;
   Interpreter Interp(Mem);
@@ -93,14 +96,31 @@ double timedLiveExportRun(const AsmProgram &Program, bool WithExporter) {
         });
     Exporter->start();
   }
-  auto Begin = std::chrono::steady_clock::now();
+  double Begin = threadCpuSeconds();
   Translator.run(Interp, 1000000);
-  auto End = std::chrono::steady_clock::now();
+  double End = threadCpuSeconds();
   if (Exporter)
     Exporter->stop();
   std::remove(Path.c_str());
   benchmark::DoNotOptimize(Interp.cycleCount());
-  return std::chrono::duration<double>(End - Begin).count();
+  return End - Begin;
+}
+
+/// One 181.mcf DBT run of 1M guest instructions under \p Config, timed
+/// in thread CPU seconds. Long enough for the scrub cadence of
+/// scrubEnabledConfig to fire many times. Shared by BM_ScrubOverhead and
+/// the reference run in main().
+double timedScrubRun(const AsmProgram &Program, const DbtConfig &Config) {
+  Memory Mem;
+  Interpreter Interp(Mem);
+  Dbt Translator(Mem, Config);
+  if (!Translator.load(Program, Interp.state()))
+    return -1.0;
+  double Begin = threadCpuSeconds();
+  Translator.run(Interp, 1000000);
+  double End = threadCpuSeconds();
+  benchmark::DoNotOptimize(Interp.cycleCount());
+  return End - Begin;
 }
 
 /// Configuration the digest gate measures under: golden-trace capture
@@ -116,21 +136,6 @@ DbtConfig digestCampaignConfig() {
   return Config;
 }
 
-/// Thread CPU seconds: the digest gate compares millisecond-scale runs
-/// on a possibly loaded shared runner, where a single preemption slice
-/// is larger than the whole effect being measured. CPU time excludes
-/// scheduler interference (the same reason the benchmark library
-/// reports CPU time), leaving the capture's compute cost.
-double threadCpuSeconds() {
-#if defined(CLOCK_THREAD_CPUTIME_ID)
-  timespec Ts;
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &Ts);
-  return static_cast<double>(Ts.tv_sec) + Ts.tv_nsec * 1e-9;
-#else
-  return static_cast<double>(std::clock()) / CLOCKS_PER_SEC;
-#endif
-}
-
 /// Instruction budget for one timed digest run. Short on purpose: a
 /// ~1-2 ms run fits inside a scheduler timeslice, so on a busy shared
 /// runner enough of the off/on pairs below execute unpreempted for a
@@ -140,11 +145,11 @@ double threadCpuSeconds() {
 /// like the campaign's own analysis pass.)
 constexpr uint64_t DigestRunBudget = 100000;
 
-/// Off/on run pairs per digest-overhead estimate. Each pair is ~3 ms of
-/// CPU, so 40 pairs keep the whole estimate around a tenth of a second
-/// while giving the median enough clean samples to shrug off load
-/// spikes.
-constexpr int DigestRunPairs = 40;
+/// Off/on run pairs per overhead estimate. A digest pair is ~2 ms of
+/// CPU and a scrub or live-export pair (1M instructions) ~12 ms, so 40
+/// pairs keep each estimate between a tenth and half a second while
+/// giving the median enough clean samples to shrug off load spikes.
+constexpr int OverheadRunPairs = 40;
 
 /// One timed 181.mcf DBT run under digestCampaignConfig, optionally
 /// with a golden-trace digest recorder attached (Marker mode: the
@@ -176,26 +181,14 @@ double timedDigestRun(const AsmProgram &Program,
   return End - Begin;
 }
 
-/// The digest_overhead estimator: median of per-pair on/off ratios over
-/// DigestRunPairs interleaved pairs. A best-of-N-each-side minimum
-/// needs one clean off run AND one clean on run and still tracks the
-/// box's frequency state; the per-pair ratio cancels that state (both
-/// runs of a pair execute back to back), and the median discards the
-/// pairs a load spike landed on. Returns a negative value if the
-/// program fails to load.
-double measureDigestOverhead(const AsmProgram &Program,
-                             telemetry::DigestRecorder &Digests) {
-  std::vector<double> Ratios;
-  for (int I = 0; I < DigestRunPairs; ++I) {
-    double Off = timedDigestRun(Program, nullptr);
-    double On = timedDigestRun(Program, &Digests);
-    if (Off <= 0 || On < 0)
-      return -1.0;
-    Ratios.push_back(On / Off - 1.0);
-  }
-  std::sort(Ratios.begin(), Ratios.end());
-  return Ratios[Ratios.size() / 2];
+std::optional<double>
+measureDigestOverhead(const AsmProgram &Program,
+                      telemetry::DigestRecorder &Digests) {
+  return pairedMedianOverhead(
+      [&](bool On) { return timedDigestRun(Program, On ? &Digests : nullptr); },
+      OverheadRunPairs);
 }
+
 /// Configuration the shadow-stack gate measures under: the shadow
 /// return stack deploys alongside a signature scheme (it exists to
 /// close the forged-return hole every signature accepts), so the
@@ -226,22 +219,25 @@ double timedShadowStackRun(const AsmProgram &Program, bool ShadowStack) {
   return End - Begin;
 }
 
-/// The shadow_stack_overhead estimator: median of per-pair on/off
-/// ratios, identical in structure to measureDigestOverhead and for the
-/// same reason (the effect is smaller than one scheduler slice). The
-/// median can be a small *negative* number when the shadow stack is in
-/// the noise, so failure is signalled with -2.0, not any negative.
-double measureShadowStackOverhead(const AsmProgram &Program) {
-  std::vector<double> Ratios;
-  for (int I = 0; I < DigestRunPairs; ++I) {
-    double Off = timedShadowStackRun(Program, false);
-    double On = timedShadowStackRun(Program, true);
-    if (Off <= 0 || On < 0)
-      return -2.0;
-    Ratios.push_back(On / Off - 1.0);
-  }
-  std::sort(Ratios.begin(), Ratios.end());
-  return Ratios[Ratios.size() / 2];
+std::optional<double> measureShadowStackOverhead(const AsmProgram &Program) {
+  return pairedMedianOverhead(
+      [&](bool On) { return timedShadowStackRun(Program, On); },
+      OverheadRunPairs);
+}
+
+std::optional<double> measureScrubOverhead(const AsmProgram &Program) {
+  return pairedMedianOverhead(
+      [&](bool On) {
+        return timedScrubRun(Program, On ? scrubEnabledConfig()
+                                         : scrubBaselineConfig());
+      },
+      OverheadRunPairs);
+}
+
+std::optional<double> measureLiveExportOverhead(const AsmProgram &Program) {
+  return pairedMedianOverhead(
+      [&](bool On) { return timedLiveExportRun(Program, On); },
+      OverheadRunPairs);
 }
 } // namespace
 
@@ -416,41 +412,25 @@ static void BM_TelemetryOverhead(benchmark::State &State) {
 }
 BENCHMARK(BM_TelemetryOverhead);
 
-/// Cost of the self-integrity machinery (periodic code-cache scrubbing
-/// every 64 dispatches + lazy dispatch verification every 8th hit) over
-/// the same unchained dispatch loop with integrity off. Reports the
-/// relative overhead; tools/check_bench_regression.sh gates it at
-/// CFED_SCRUB_OVERHEAD_MAX (default 0.15).
+/// Cost of the self-integrity machinery (a full code-cache scrub every
+/// 1024 dispatches + lazy verification of a block on every 64th hit,
+/// scrubEnabledConfig) over the same unchained dispatch loop with
+/// integrity off. Reports the paired-median relative overhead;
+/// tools/check_bench_regression.sh gates it at CFED_SCRUB_OVERHEAD_MAX
+/// (default 0.15).
 static void BM_ScrubOverhead(benchmark::State &State) {
   AsmProgram Program = assembleWorkload("181.mcf");
-  auto RunOnce = [&Program](const DbtConfig &Config) {
-    Memory Mem;
-    Interpreter Interp(Mem);
-    Dbt Translator(Mem, Config);
-    if (!Translator.load(Program, Interp.state()))
-      return -1.0;
-    auto Begin = std::chrono::steady_clock::now();
-    Translator.run(Interp, 1000000);
-    auto End = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(Interp.cycleCount());
-    return std::chrono::duration<double>(End - Begin).count();
-  };
-  double BestOff = -1.0, BestOn = -1.0;
   for (auto _ : State) {
-    double Off = RunOnce(scrubBaselineConfig());
-    double On = RunOnce(scrubEnabledConfig());
-    if (Off < 0 || On < 0) {
+    std::optional<double> Overhead = measureScrubOverhead(Program);
+    if (!Overhead) {
       State.SkipWithError("program failed to load under the DBT");
       return;
     }
-    if (BestOff < 0 || Off < BestOff)
-      BestOff = Off;
-    if (BestOn < 0 || On < BestOn)
-      BestOn = On;
+    GScrubOverhead = *Overhead;
   }
-  GScrubOverhead = BestOff > 0 ? BestOn / BestOff - 1.0 : 0.0;
   State.counters["scrub_overhead"] = GScrubOverhead;
-  State.SetItemsProcessed(int64_t(State.iterations()) * 2000000);
+  State.SetItemsProcessed(int64_t(State.iterations()) * 2 *
+                          int64_t(OverheadRunPairs) * 1000000);
 }
 BENCHMARK(BM_ScrubOverhead);
 
@@ -458,27 +438,22 @@ BENCHMARK(BM_ScrubOverhead);
 /// the registry and atomically rewriting the snapshot file every 5 ms —
 /// over the same DBT run with no exporter. The hot path only pays for
 /// the relaxed counter increments it already does; the snapshot/format/
-/// write cycle rides the exporter thread. Reports the relative overhead;
-/// tools/check_bench_regression.sh gates it at CFED_EXPORT_OVERHEAD_MAX
-/// (default 0.15).
+/// write cycle rides the exporter thread. Reports the paired-median
+/// relative overhead; tools/check_bench_regression.sh gates it at
+/// CFED_EXPORT_OVERHEAD_MAX (default 0.15).
 static void BM_LiveExportOverhead(benchmark::State &State) {
   AsmProgram Program = assembleWorkload("181.mcf");
-  double BestOff = -1.0, BestOn = -1.0;
   for (auto _ : State) {
-    double Off = timedLiveExportRun(Program, false);
-    double On = timedLiveExportRun(Program, true);
-    if (Off < 0 || On < 0) {
+    std::optional<double> Overhead = measureLiveExportOverhead(Program);
+    if (!Overhead) {
       State.SkipWithError("program failed to load under the DBT");
       return;
     }
-    if (BestOff < 0 || Off < BestOff)
-      BestOff = Off;
-    if (BestOn < 0 || On < BestOn)
-      BestOn = On;
+    GLiveExportOverhead = *Overhead;
   }
-  GLiveExportOverhead = BestOff > 0 ? BestOn / BestOff - 1.0 : 0.0;
   State.counters["live_export_overhead"] = GLiveExportOverhead;
-  State.SetItemsProcessed(int64_t(State.iterations()) * 2000000);
+  State.SetItemsProcessed(int64_t(State.iterations()) * 2 *
+                          int64_t(OverheadRunPairs) * 1000000);
 }
 BENCHMARK(BM_LiveExportOverhead);
 
@@ -491,18 +466,17 @@ BENCHMARK(BM_LiveExportOverhead);
 static void BM_DigestCapture(benchmark::State &State) {
   AsmProgram Program = assembleWorkload("181.mcf");
   telemetry::DigestRecorder Digests;
-  double Overhead = 0.0;
   for (auto _ : State) {
-    Overhead = measureDigestOverhead(Program, Digests);
-    if (Overhead < 0) {
+    std::optional<double> Overhead = measureDigestOverhead(Program, Digests);
+    if (!Overhead) {
       State.SkipWithError("program failed to load under the DBT");
       return;
     }
+    GDigestOverhead = *Overhead;
   }
-  GDigestOverhead = Overhead;
   State.counters["digest_overhead"] = GDigestOverhead;
   State.SetItemsProcessed(int64_t(State.iterations()) * 2 *
-                          int64_t(DigestRunPairs) *
+                          int64_t(OverheadRunPairs) *
                           int64_t(DigestRunBudget));
 }
 BENCHMARK(BM_DigestCapture);
@@ -514,18 +488,17 @@ BENCHMARK(BM_DigestCapture);
 /// CFED_SHADOWSTACK_OVERHEAD_MAX (default 0.15).
 static void BM_ShadowStackOverhead(benchmark::State &State) {
   AsmProgram Program = assembleWorkload("186.crafty");
-  double Overhead = 0.0;
   for (auto _ : State) {
-    Overhead = measureShadowStackOverhead(Program);
-    if (Overhead <= -1.0) {
+    std::optional<double> Overhead = measureShadowStackOverhead(Program);
+    if (!Overhead) {
       State.SkipWithError("program failed to load under the DBT");
       return;
     }
+    GShadowStackOverhead = *Overhead;
   }
-  GShadowStackOverhead = Overhead;
   State.counters["shadow_stack_overhead"] = GShadowStackOverhead;
   State.SetItemsProcessed(int64_t(State.iterations()) * 2 *
-                          int64_t(DigestRunPairs) *
+                          int64_t(OverheadRunPairs) *
                           int64_t(DigestRunBudget));
 }
 BENCHMARK(BM_ShadowStackOverhead);
@@ -611,77 +584,21 @@ int main(int argc, char **argv) {
       }
     }
     Report.setRegistry(Registry.snapshot());
-    {
-      // Reference run 3: scrub overhead measured deterministically
-      // (best of three off/on pairs), independent of any
-      // --benchmark_filter that skips BM_ScrubOverhead.
-      AsmProgram Program = assembleWorkload("181.mcf");
-      auto RunOnce = [&Program](const DbtConfig &Config) {
-        Memory Mem;
-        Interpreter Interp(Mem);
-        Dbt Translator(Mem, Config);
-        if (!Translator.load(Program, Interp.state()))
-          return -1.0;
-        auto Begin = std::chrono::steady_clock::now();
-        Translator.run(Interp, 1000000);
-        auto End = std::chrono::steady_clock::now();
-        benchmark::DoNotOptimize(Interp.cycleCount());
-        return std::chrono::duration<double>(End - Begin).count();
-      };
-      double BestOff = -1.0, BestOn = -1.0;
-      for (int I = 0; I < 3; ++I) {
-        double Off = RunOnce(scrubBaselineConfig());
-        double On = RunOnce(scrubEnabledConfig());
-        if (Off < 0 || On < 0)
-          break;
-        if (BestOff < 0 || Off < BestOff)
-          BestOff = Off;
-        if (BestOn < 0 || On < BestOn)
-          BestOn = On;
-      }
-      if (BestOff > 0 && BestOn > 0)
-        Report.set("scrub_overhead", BestOn / BestOff - 1.0);
-    }
-    {
-      // Reference run 4: live-export overhead measured deterministically
-      // (best of three off/on pairs), independent of any
-      // --benchmark_filter that skips BM_LiveExportOverhead.
-      AsmProgram Program = assembleWorkload("181.mcf");
-      double BestOff = -1.0, BestOn = -1.0;
-      for (int I = 0; I < 3; ++I) {
-        double Off = timedLiveExportRun(Program, false);
-        double On = timedLiveExportRun(Program, true);
-        if (Off < 0 || On < 0)
-          break;
-        if (BestOff < 0 || Off < BestOff)
-          BestOff = Off;
-        if (BestOn < 0 || On < BestOn)
-          BestOn = On;
-      }
-      if (BestOff > 0 && BestOn > 0)
-        Report.set("live_export_overhead", BestOn / BestOff - 1.0);
-    }
-    {
-      // Reference run 5: digest-capture overhead, measured with the
-      // same paired-median estimator as BM_DigestCapture so the gated
-      // JSON value is independent of any --benchmark_filter that skips
-      // the benchmark itself.
-      AsmProgram Program = assembleWorkload("181.mcf");
-      telemetry::DigestRecorder Digests;
-      double Overhead = measureDigestOverhead(Program, Digests);
-      if (Overhead >= 0)
-        Report.set("digest_overhead", Overhead);
-    }
-    {
-      // Reference run 6: shadow-return-stack overhead on the call-heavy
-      // workload, with the same paired-median estimator as
-      // BM_ShadowStackOverhead so the gated JSON value is independent
-      // of any --benchmark_filter that skips the benchmark itself.
-      AsmProgram Program = assembleWorkload("186.crafty");
-      double Overhead = measureShadowStackOverhead(Program);
-      if (Overhead > -1.0)
-        Report.set("shadow_stack_overhead", Overhead);
-    }
+    // Reference runs 3-6: the gated overhead ratios, measured with the
+    // paired-median estimator independently of any --benchmark_filter
+    // that skips the benchmarks themselves.
+    AsmProgram Mcf = assembleWorkload("181.mcf");
+    if (std::optional<double> Overhead = measureScrubOverhead(Mcf))
+      Report.set("scrub_overhead", *Overhead);
+    if (std::optional<double> Overhead = measureLiveExportOverhead(Mcf))
+      Report.set("live_export_overhead", *Overhead);
+    telemetry::DigestRecorder Digests;
+    if (std::optional<double> Overhead = measureDigestOverhead(Mcf, Digests))
+      Report.set("digest_overhead", *Overhead);
+    // The shadow stack is priced on the call-heavy workload.
+    if (std::optional<double> Overhead =
+            measureShadowStackOverhead(assembleWorkload("186.crafty")))
+      Report.set("shadow_stack_overhead", *Overhead);
   }
   benchmark::Shutdown();
   return 0;

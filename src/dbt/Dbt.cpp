@@ -763,28 +763,25 @@ namespace {
 constexpr uint64_t FnvOffset = 1469598103934665603ULL;
 constexpr uint64_t FnvPrime = 1099511628211ULL;
 
-void fnvFold(uint64_t &H, const uint8_t *Data, size_t N) {
-  for (size_t I = 0; I < N; ++I)
-    H = (H ^ Data[I]) * FnvPrime;
-}
-
-void fnvFold64(uint64_t &H, uint64_t V) {
-  uint8_t Bytes[8];
-  for (unsigned I = 0; I < 8; ++I)
-    Bytes[I] = static_cast<uint8_t>(V >> (I * 8));
-  fnvFold(H, Bytes, 8);
-}
+/// One FNV-style step over a whole 64-bit word. For a fixed state it is
+/// injective in \p V, and for a fixed \p V a bijection of the state (the
+/// prime is odd), so flipping any single bit of any folded word changes
+/// the final hash.
+void fnvFold64(uint64_t &H, uint64_t V) { H = (H ^ V) * FnvPrime; }
 
 } // namespace
 
 uint64_t Dbt::computeIntegrityWord(const TranslatedBlock &TB) const {
   uint64_t H = FnvOffset;
-  uint8_t Buf[256];
+  uint64_t Buf[512 / sizeof(uint64_t)];
   uint64_t End = TB.CacheAddr + TB.CacheSize;
   for (uint64_t Addr = TB.CacheAddr; Addr < End;) {
     uint64_t Chunk = std::min<uint64_t>(sizeof(Buf), End - Addr);
+    if (Chunk % sizeof(uint64_t))
+      Buf[Chunk / sizeof(uint64_t)] = 0; // Zero-pads a partial last word.
     Mem.readRaw(Addr, Buf, Chunk);
-    fnvFold(H, Buf, Chunk);
+    for (uint64_t Word = 0; Word * sizeof(uint64_t) < Chunk; ++Word)
+      fnvFold64(H, Buf[Word]);
     Addr += Chunk;
   }
   // Sealed header: the entry metadata a flipped BlockTable slot would
@@ -816,8 +813,9 @@ bool Dbt::dispatchVerify(uint64_t GuestTarget) {
   TranslatedBlock *TB = BlockMap.findMutable(GuestTarget);
   if (!TB)
     return false;
-  if (++TB->Hits % Config.VerifyDispatchInterval != 0)
+  if (++TB->Hits < Config.VerifyDispatchInterval)
     return false;
+  TB->Hits = 0;
   if (verifyIntegrityWord(*TB))
     return false;
   IntegrityMismatches.inc();

@@ -147,8 +147,8 @@ struct TranslatedBlock {
   /// self-integrity checking is enabled and resealed after legitimate
   /// cache mutation (chain patches). 0 when integrity is off.
   uint64_t IntegrityWord = 0;
-  /// Dispatches that landed on this block; drives the lazy
-  /// every-N-dispatches verification.
+  /// Dispatches that landed on this block since its last lazy
+  /// verification; reset when it reaches VerifyDispatchInterval.
   uint64_t Hits = 0;
   /// Cache-address ranges [begin, end) occupied by checker-emitted
   /// instrumentation.

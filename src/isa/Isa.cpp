@@ -15,35 +15,29 @@ namespace {
 struct OpcodeInfo {
   const char *Mnemonic;
   const char *Spec;
-  unsigned Cost;
   bool WritesFlags;
   OpKind Kind;
 };
 
 const OpcodeInfo OpcodeTable[] = {
 #define HANDLE_OPCODE(ENUM, MNEMONIC, SPEC, COST, WRITES_FLAGS, KIND)          \
-  {MNEMONIC, SPEC, COST, WRITES_FLAGS, KIND},
+  {MNEMONIC, SPEC, WRITES_FLAGS, KIND},
 #include "isa/Opcodes.def"
 };
 
-constexpr unsigned NumOpcodesValue =
-    sizeof(OpcodeTable) / sizeof(OpcodeTable[0]);
+static_assert(sizeof(OpcodeTable) / sizeof(OpcodeTable[0]) == NumOpcodes);
 
 const OpcodeInfo &getInfo(Opcode Op) {
   unsigned Index = static_cast<unsigned>(Op);
-  assert(Index < NumOpcodesValue && "opcode out of range");
+  assert(Index < NumOpcodes && "opcode out of range");
   return OpcodeTable[Index];
 }
 
 } // namespace
 
-unsigned cfed::getNumOpcodes() { return NumOpcodesValue; }
-
 const char *cfed::getOpcodeMnemonic(Opcode Op) { return getInfo(Op).Mnemonic; }
 
 const char *cfed::getOpcodeSpec(Opcode Op) { return getInfo(Op).Spec; }
-
-unsigned cfed::getOpcodeCost(Opcode Op) { return getInfo(Op).Cost; }
 
 bool cfed::opcodeWritesFlags(Opcode Op) { return getInfo(Op).WritesFlags; }
 
@@ -51,26 +45,6 @@ OpKind cfed::getOpcodeKind(Opcode Op) { return getInfo(Op).Kind; }
 
 bool cfed::isBlockTerminator(Opcode Op) {
   return getOpcodeKind(Op) != OpKind::None;
-}
-
-bool cfed::hasBranchOffset(Opcode Op) {
-  switch (getOpcodeKind(Op)) {
-  case OpKind::Jump:
-  case OpKind::CondJump:
-  case OpKind::RegZeroJump:
-  case OpKind::Call:
-    return true;
-  case OpKind::None:
-  case OpKind::IndJump:
-  case OpKind::IndCall:
-  case OpKind::Ret:
-  case OpKind::Halt:
-  case OpKind::Trap:
-  case OpKind::DbtExit:
-  case OpKind::DbtExitInd:
-    return false;
-  }
-  cfed_unreachable("covered switch");
 }
 
 static const char *const CondCodeNames[NumCondCodes] = {
@@ -120,40 +94,6 @@ CondCode cfed::negateCondCode(CondCode CC) {
     return CondCode::NO;
   case CondCode::NO:
     return CondCode::O;
-  }
-  cfed_unreachable("covered switch");
-}
-
-bool cfed::evalCondCode(CondCode CC, const Flags &F) {
-  switch (CC) {
-  case CondCode::EQ:
-    return F.ZF;
-  case CondCode::NE:
-    return !F.ZF;
-  case CondCode::LT:
-    return F.SF != F.OF;
-  case CondCode::LE:
-    return F.ZF || F.SF != F.OF;
-  case CondCode::GT:
-    return !F.ZF && F.SF == F.OF;
-  case CondCode::GE:
-    return F.SF == F.OF;
-  case CondCode::B:
-    return F.CF;
-  case CondCode::BE:
-    return F.CF || F.ZF;
-  case CondCode::A:
-    return !F.CF && !F.ZF;
-  case CondCode::AE:
-    return !F.CF;
-  case CondCode::S:
-    return F.SF;
-  case CondCode::NS:
-    return !F.SF;
-  case CondCode::O:
-    return F.OF;
-  case CondCode::NO:
-    return !F.OF;
   }
   cfed_unreachable("covered switch");
 }
@@ -208,7 +148,7 @@ FieldLimits computeFieldLimits(Opcode Op) {
 const FieldLimits *getFieldLimitTable() {
   static const auto Table = [] {
     std::array<FieldLimits, 256> Limits{};
-    for (unsigned I = 0; I < NumOpcodesValue; ++I)
+    for (unsigned I = 0; I < NumOpcodes; ++I)
       Limits[I] = computeFieldLimits(static_cast<Opcode>(I));
     return Limits;
   }();
@@ -218,7 +158,7 @@ const FieldLimits *getFieldLimitTable() {
 } // namespace
 
 std::optional<Instruction> Instruction::decode(const uint8_t *Buffer) {
-  if (Buffer[0] >= NumOpcodesValue)
+  if (Buffer[0] >= NumOpcodes)
     return std::nullopt;
   const FieldLimits &Limits = getFieldLimitTable()[Buffer[0]];
   for (unsigned Field = 0; Field < 3; ++Field)
@@ -235,21 +175,6 @@ std::optional<Instruction> Instruction::decode(const uint8_t *Buffer) {
                   (static_cast<uint32_t>(Buffer[7]) << 24);
   I.Imm = static_cast<int32_t>(Bits);
   return I;
-}
-
-CondCode Instruction::cond() const {
-  // The condition code binds to the field dictated by the operand spec:
-  // Jcc -> A, SetCC -> B, CMov -> C (see Opcodes.def).
-  switch (Op) {
-  case Opcode::Jcc:
-    return static_cast<CondCode>(A);
-  case Opcode::SetCC:
-    return static_cast<CondCode>(B);
-  case Opcode::CMov:
-    return static_cast<CondCode>(C);
-  default:
-    cfed_unreachable("opcode has no condition code");
-  }
 }
 
 Instruction cfed::insn::rrr(Opcode Op, uint8_t Rd, uint8_t Rs1, uint8_t Rs2) {

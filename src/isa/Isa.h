@@ -101,7 +101,11 @@ enum class Opcode : uint8_t {
 };
 
 /// Number of defined opcodes.
-unsigned getNumOpcodes();
+inline constexpr unsigned NumOpcodes = 0
+#define HANDLE_OPCODE(ENUM, MNEMONIC, SPEC, COST, WRITES_FLAGS, KIND) +1
+#include "isa/Opcodes.def"
+    ;
+inline unsigned getNumOpcodes() { return NumOpcodes; }
 
 /// Returns the assembly mnemonic for \p Op.
 const char *getOpcodeMnemonic(Opcode Op);
@@ -109,8 +113,20 @@ const char *getOpcodeMnemonic(Opcode Op);
 /// Returns the operand spec string for \p Op (see Opcodes.def).
 const char *getOpcodeSpec(Opcode Op);
 
+namespace detail {
+/// Per-opcode cycle costs, in Opcodes.def order. Header-resident so the
+/// interpreter's per-instruction cost update is one table load.
+inline constexpr uint8_t OpcodeCosts[NumOpcodes] = {
+#define HANDLE_OPCODE(ENUM, MNEMONIC, SPEC, COST, WRITES_FLAGS, KIND) COST,
+#include "isa/Opcodes.def"
+};
+} // namespace detail
+
 /// Returns the cycle cost of \p Op in the performance model.
-unsigned getOpcodeCost(Opcode Op);
+inline unsigned getOpcodeCost(Opcode Op) {
+  assert(static_cast<unsigned>(Op) < NumOpcodes && "opcode out of range");
+  return detail::OpcodeCosts[static_cast<unsigned>(Op)];
+}
 
 /// Returns true if \p Op overwrites the FLAGS register.
 bool opcodeWritesFlags(Opcode Op);
@@ -122,9 +138,25 @@ OpKind getOpcodeKind(Opcode Op);
 /// including Halt and Trap).
 bool isBlockTerminator(Opcode Op);
 
+namespace detail {
+constexpr bool kindHasBranchOffset(OpKind Kind) {
+  return Kind == OpKind::Jump || Kind == OpKind::CondJump ||
+         Kind == OpKind::RegZeroJump || Kind == OpKind::Call;
+}
+
+inline constexpr bool OpcodeHasBranchOffset[NumOpcodes] = {
+#define HANDLE_OPCODE(ENUM, MNEMONIC, SPEC, COST, WRITES_FLAGS, KIND)          \
+  kindHasBranchOffset(KIND),
+#include "isa/Opcodes.def"
+};
+} // namespace detail
+
 /// Returns true if \p Op is a branch with a PC-relative offset encoded in
 /// the Imm field — the "address offset" fault sites of the error model.
-bool hasBranchOffset(Opcode Op);
+inline bool hasBranchOffset(Opcode Op) {
+  assert(static_cast<unsigned>(Op) < NumOpcodes && "opcode out of range");
+  return detail::OpcodeHasBranchOffset[static_cast<unsigned>(Op)];
+}
 
 /// Condition codes, evaluated against FLAGS exactly like their IA-32
 /// counterparts.
@@ -200,8 +232,70 @@ struct Flags {
   static constexpr unsigned NumFlagBits = 4;
 };
 
-/// Evaluates condition \p CC against \p F.
-bool evalCondCode(CondCode CC, const Flags &F);
+namespace detail {
+/// Reference semantics of \p CC over the flags packed as Flags::pack().
+constexpr bool condHolds(CondCode CC, unsigned Packed) {
+  bool ZF = Packed & 1, SF = Packed & 2, CF = Packed & 4, OF = Packed & 8;
+  switch (CC) {
+  case CondCode::EQ:
+    return ZF;
+  case CondCode::NE:
+    return !ZF;
+  case CondCode::LT:
+    return SF != OF;
+  case CondCode::LE:
+    return ZF || SF != OF;
+  case CondCode::GT:
+    return !ZF && SF == OF;
+  case CondCode::GE:
+    return SF == OF;
+  case CondCode::B:
+    return CF;
+  case CondCode::BE:
+    return CF || ZF;
+  case CondCode::A:
+    return !CF && !ZF;
+  case CondCode::AE:
+    return !CF;
+  case CondCode::S:
+    return SF;
+  case CondCode::NS:
+    return !SF;
+  case CondCode::O:
+    return OF;
+  case CondCode::NO:
+    return !OF;
+  }
+  return false;
+}
+
+/// Truth table of \p CC: bit N is set when the condition holds for the
+/// packed flag value N.
+constexpr uint16_t condTruthTable(CondCode CC) {
+  uint16_t Bits = 0;
+  for (unsigned Packed = 0; Packed < 16; ++Packed)
+    if (condHolds(CC, Packed))
+      Bits |= static_cast<uint16_t>(1u << Packed);
+  return Bits;
+}
+
+inline constexpr uint16_t CondTruth[NumCondCodes] = {
+    condTruthTable(CondCode::EQ), condTruthTable(CondCode::NE),
+    condTruthTable(CondCode::LT), condTruthTable(CondCode::LE),
+    condTruthTable(CondCode::GT), condTruthTable(CondCode::GE),
+    condTruthTable(CondCode::B),  condTruthTable(CondCode::BE),
+    condTruthTable(CondCode::A),  condTruthTable(CondCode::AE),
+    condTruthTable(CondCode::S),  condTruthTable(CondCode::NS),
+    condTruthTable(CondCode::O),  condTruthTable(CondCode::NO)};
+} // namespace detail
+
+/// Evaluates condition \p CC against \p F: one truth-table lookup, so a
+/// data-dependent condition costs no indirect branch.
+inline bool evalCondCode(CondCode CC, const Flags &F) {
+  assert(static_cast<unsigned>(CC) < NumCondCodes &&
+         "condition code out of range");
+  return (detail::CondTruth[static_cast<unsigned>(CC)] >> F.pack()) & 1;
+}
 
 /// One decoded VISA instruction. Fields A, B and C carry register numbers
 /// or a condition code depending on the opcode's operand spec; Imm carries
@@ -242,8 +336,16 @@ struct Instruction {
     return static_cast<int32_t>(Delta);
   }
 
-  /// Condition code of a Jcc / CMov / SetCC instruction.
-  CondCode cond() const;
+  /// Condition code of a Jcc / CMov / SetCC instruction. It binds to the
+  /// field dictated by the operand spec: Jcc -> A, SetCC -> B, CMov -> C
+  /// (see Opcodes.def).
+  CondCode cond() const {
+    assert((Op == Opcode::Jcc || Op == Opcode::SetCC || Op == Opcode::CMov) &&
+           "opcode has no condition code");
+    return static_cast<CondCode>(Op == Opcode::Jcc     ? A
+                                 : Op == Opcode::SetCC ? B
+                                                       : C);
+  }
 
   bool operator==(const Instruction &Other) const = default;
 };

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <ctime>
 
 using namespace cfed;
 
@@ -17,6 +18,16 @@ double cfed::geometricMean(const std::vector<double> &Values) {
     LogSum += std::log(Value);
   }
   return std::exp(LogSum / static_cast<double>(Values.size()));
+}
+
+double cfed::threadCpuSeconds() {
+#if defined(CLOCK_THREAD_CPUTIME_ID)
+  timespec Ts;
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &Ts);
+  return static_cast<double>(Ts.tv_sec) + Ts.tv_nsec * 1e-9;
+#else
+  return static_cast<double>(std::clock()) / CLOCKS_PER_SEC;
+#endif
 }
 
 double cfed::arithmeticMean(const std::vector<double> &Values) {

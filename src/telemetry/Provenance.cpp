@@ -55,20 +55,6 @@ uint64_t DigestRecorder::mixWindow(const uint64_t *W) {
   return mixWindowScalar(W);
 }
 
-void DigestRecorder::onMarker(uint32_t Slot, const uint64_t *Regs,
-                              const double *FpRegs, unsigned FlagBits) {
-  if (Slot >= Markers.size())
-    return;
-  const MarkerInfo &M = Markers[Slot];
-  if (!M.Capture) {
-    GuestRetired += M.Delta;
-    return;
-  }
-  captureRecord(GuestRetired + M.Delta, M.TermPC, M.Checked, Regs, FpRegs,
-                FlagBits);
-  GuestRetired += M.Delta + 1; // Body plus the terminator itself.
-}
-
 void DigestRecorder::captureRecord(uint64_t Key, uint64_t TermPC, bool Checked,
                                    const uint64_t *Regs, const double *FpRegs,
                                    unsigned FlagBits) {

@@ -167,12 +167,20 @@ public:
     captureRecord(Key, TermPC, /*Checked=*/false, Regs, FpRegs, FlagBits);
   }
 
-  /// Marker-mode capture from a planted Digest instruction. Out of
-  /// line (Provenance.cpp) together with captureRecord: the interpreter
-  /// pays one call per marker and keeps the capture body out of its
-  /// dispatch loop's code footprint.
+  /// Marker-mode capture from a planted Digest instruction. Inline up to
+  /// the out-of-line capture body, so the interpreter makes one call per
+  /// capturing marker and none for seams that only advance the key.
   void onMarker(uint32_t Slot, const uint64_t *Regs, const double *FpRegs,
-                unsigned FlagBits);
+                unsigned FlagBits) {
+    if (Slot >= Markers.size())
+      return;
+    const MarkerInfo &M = Markers[Slot];
+    if (M.Capture)
+      captureRecord(GuestRetired + M.Delta, M.TermPC, M.Checked, Regs,
+                    FpRegs, FlagBits);
+    // Body plus the terminator itself, if the seam has one.
+    GuestRetired += M.Delta + M.Capture;
+  }
 
   /// Folds one successful guest store into the summary accumulator.
   /// Single fold: stores are the most frequent capture event, and their

@@ -234,13 +234,26 @@ StopInfo Interpreter::run(uint64_t MaxInsns) {
       I = *Decoded;
     }
 
+    // Digest markers are handled here, ahead of the opcode dispatch.
+    // The marker is transparent to the execution model: it consumes no
+    // instruction budget, retires no instruction and has cost 0, and
+    // hooks never see it (register-fault injectors count executed
+    // instructions to pick their injection instant, and that instant
+    // must not shift when digest capture is enabled). With no recorder
+    // bound it is a nop.
+    if (I.Op == Opcode::Digest) {
+      ++Budget;
+      if (DRec)
+        DRec->onMarker(static_cast<uint32_t>(I.Imm), State.Regs,
+                       State.FpRegs, State.F.pack());
+      State.PC = PC + InsnSize;
+      continue;
+    }
+
     ++Insns;
     Cycles += getOpcodeCost(I.Op);
 
-    // Digest markers are invisible to hooks: register-fault injectors
-    // count executed instructions to pick their injection instant, and
-    // that instant must not shift when digest capture is enabled.
-    if (PreInsn && I.Op != Opcode::Digest)
+    if (PreInsn)
       PreInsn->onInsn(PC, I, State);
 
     uint64_t *Regs = State.Regs;
@@ -724,19 +737,8 @@ StopInfo Interpreter::run(uint64_t MaxInsns) {
         BlockProf->bump(static_cast<uint32_t>(I.Imm));
       OP_BREAK;
     }
-    OP_CASE(Digest): {
-      // Sub-block digest capture; acts as a nop with no recorder bound.
-      // The marker is transparent to the execution model: it consumes
-      // no instruction budget and retires no instruction (its opcode
-      // cost is 0 and pre-insn hooks skip it at the call site), so a
-      // run with digests enabled truncates, injects faults and counts
-      // latencies at exactly the same guest instants as one without.
-      ++Budget;
-      --Insns;
-      if (DRec)
-        DRec->onMarker(static_cast<uint32_t>(I.Imm), Regs, Fp, F.pack());
-      OP_BREAK;
-    }
+    OP_CASE(Digest):
+      cfed_unreachable("Digest markers are handled before dispatch");
 #if !CFED_COMPUTED_GOTO
     }
 #endif

@@ -10,18 +10,16 @@
 
 using namespace cfed;
 
-Memory::Page *Memory::lookup(uint64_t PageIndex) {
-  if (PageIndex == CachedIndex)
-    return CachedPage;
+Memory::Page *Memory::lookup(uint64_t PageIndex) const {
+  TlbEntry &E = Tlb[PageIndex % TlbSize];
+  if (E.PageIndex == PageIndex)
+    return E.P;
   auto It = Pages.find(PageIndex);
-  Page *P = It == Pages.end() ? nullptr : It->second.get();
-  CachedIndex = PageIndex;
-  CachedPage = P;
-  return P;
-}
-
-const Memory::Page *Memory::lookup(uint64_t PageIndex) const {
-  return const_cast<Memory *>(this)->lookup(PageIndex);
+  if (It == Pages.end())
+    return nullptr; // Not cached: mapRegion may map the page later.
+  E.PageIndex = PageIndex;
+  E.P = It->second.get();
+  return E.P;
 }
 
 void Memory::mapRegion(uint64_t Base, uint64_t Size, uint8_t Perms) {
@@ -33,8 +31,7 @@ void Memory::mapRegion(uint64_t Base, uint64_t Size, uint8_t Perms) {
       Slot = std::make_unique<Page>();
     Slot->Perms = Perms;
   }
-  CachedIndex = ~0ULL;
-  CachedPage = nullptr;
+  dropICache();
 }
 
 void Memory::setPerms(uint64_t Base, uint64_t Size, uint8_t Perms) {
@@ -47,6 +44,7 @@ void Memory::setPerms(uint64_t Base, uint64_t Size, uint8_t Perms) {
                         static_cast<unsigned long long>(Index * PageSize));
     P->Perms = Perms;
   }
+  dropICache();
 }
 
 uint8_t Memory::getPerms(uint64_t Addr) const {
@@ -66,7 +64,7 @@ MemResult Memory::access(uint64_t Addr, void *Out, const void *In,
     uint64_t Current = Addr + Done;
     uint64_t PageIndex = Current / PageSize;
     uint64_t PageOffset = Current % PageSize;
-    Page *P = Self->lookup(PageIndex);
+    Page *P = lookup(PageIndex);
     if (!P)
       return MemResult::Unmapped;
     switch (Kind) {
@@ -88,14 +86,25 @@ MemResult Memory::access(uint64_t Addr, void *Out, const void *In,
     uint64_t Chunk = std::min(Size - Done, PageSize - PageOffset);
     if (In) {
       uint64_t PageBase = PageIndex * PageSize;
-      if (Self->WriteObserver && PageBase < Self->WriteObserverLimit &&
-          Self->EpochDirty.insert(PageIndex).second)
-        Self->WriteObserver->onPageDirtied(PageBase, P->Bytes);
+      if (P->DirtyEpoch != WriteEpoch) {
+        if (WriteObserver && PageBase < WriteObserverLimit)
+          WriteObserver->onPageDirtied(PageBase, P->Bytes);
+        P->DirtyEpoch = WriteEpoch;
+      }
       std::memcpy(P->Bytes + PageOffset,
                   static_cast<const uint8_t *>(In) + Done, Chunk);
-      // Keep the predecode side array coherent with the bytes; writes to
-      // non-executable pages reset a null pointer, which is free.
-      P->Decoded.reset();
+      // Keep the predecode side array coherent with the bytes: re-decode
+      // just the slots the write touched, and send the page's next fetch
+      // through fetchDecodedSlow so it counts the decode event.
+      if (P->Decoded) {
+        for (uint64_t Slot = PageOffset / InsnSize,
+                      End = (PageOffset + Chunk - 1) / InsnSize;
+             Slot <= End; ++Slot)
+          P->Decoded->decodeSlot(P->Bytes, Slot);
+        P->Decoded->Patched = true;
+        if (ICachedPage == P->Decoded.get())
+          Self->dropICache();
+      }
     } else
       std::memcpy(static_cast<uint8_t *>(Out) + Done, P->Bytes + PageOffset,
                   Chunk);
@@ -116,7 +125,7 @@ MemResult Memory::fetch(uint64_t Addr, void *Out, uint64_t Size) const {
   return access(Addr, Out, nullptr, Size, AccessKind::Fetch);
 }
 
-const Instruction *Memory::fetchDecoded(uint64_t Addr, MemResult &Result) {
+const Instruction *Memory::fetchDecodedSlow(uint64_t Addr, MemResult &Result) {
   if (Addr % InsnSize != 0) {
     // Misaligned PCs (wild landings) straddle slots and possibly pages:
     // byte-level slow path.
@@ -135,24 +144,23 @@ const Instruction *Memory::fetchDecoded(uint64_t Addr, MemResult &Result) {
   }
   if (!P->Decoded) {
     ++PredecodeDecodes;
-    auto Decoded = std::make_unique<DecodedPage>();
-    for (uint64_t Slot = 0; Slot < DecodedPage::NumSlots; ++Slot) {
-      auto I = Instruction::decode(P->Bytes + Slot * InsnSize);
-      if (I)
-        Decoded->Insns[Slot] = *I;
-      else
-        Decoded->Illegal[Slot / 64] |= 1ULL << (Slot % 64);
-    }
-    P->Decoded = std::move(Decoded);
+    P->Decoded = std::make_unique<DecodedPage>();
+    for (uint64_t Slot = 0; Slot < DecodedPage::NumSlots; ++Slot)
+      P->Decoded->decodeSlot(P->Bytes, Slot);
+  } else if (P->Decoded->Patched) {
+    ++PredecodeDecodes;
+    P->Decoded->Patched = false;
   }
+  ICachedBase = Addr & ~(PageSize - 1);
+  ICachedPage = P->Decoded.get();
   Result = MemResult::Ok;
-  uint64_t Slot = (Addr % PageSize) / InsnSize;
-  if (P->Decoded->isIllegal(Slot)) {
+  const Instruction &I = P->Decoded->Insns[(Addr % PageSize) / InsnSize];
+  if (I.Op == DecodedPage::IllegalOp) {
     ++PredecodeSlow;
     return nullptr; // Slow path re-decodes and traps IllegalInsn.
   }
   ++PredecodeHits;
-  return &P->Decoded->Insns[Slot];
+  return &I;
 }
 
 void Memory::invalidatePredecode(uint64_t Base, uint64_t Size) {
@@ -161,16 +169,15 @@ void Memory::invalidatePredecode(uint64_t Base, uint64_t Size) {
   for (uint64_t Index = First; Index < Last; ++Index)
     if (Page *P = lookup(Index))
       P->Decoded.reset();
+  dropICache();
 }
 
 void Memory::setWriteObserver(PageWriteObserver *Observer,
                               uint64_t LimitAddr) {
   WriteObserver = Observer;
   WriteObserverLimit = Observer ? LimitAddr : 0;
-  EpochDirty.clear();
+  ++WriteEpoch;
 }
-
-void Memory::resetWriteEpoch() { EpochDirty.clear(); }
 
 void Memory::writeRaw(uint64_t Addr, const void *In, uint64_t Size) {
   MemResult Result = access(Addr, nullptr, In, Size, AccessKind::Raw);
@@ -184,24 +191,4 @@ void Memory::readRaw(uint64_t Addr, void *Out, uint64_t Size) const {
   if (Result != MemResult::Ok)
     reportFatalErrorf("readRaw from unmapped address 0x%llx",
                       static_cast<unsigned long long>(Addr));
-}
-
-uint64_t Memory::read64(uint64_t Addr, MemResult &Result) const {
-  uint64_t Value = 0;
-  Result = read(Addr, &Value, sizeof(Value));
-  return Value;
-}
-
-MemResult Memory::write64(uint64_t Addr, uint64_t Value) {
-  return write(Addr, &Value, sizeof(Value));
-}
-
-uint8_t Memory::read8(uint64_t Addr, MemResult &Result) const {
-  uint8_t Value = 0;
-  Result = read(Addr, &Value, sizeof(Value));
-  return Value;
-}
-
-MemResult Memory::write8(uint64_t Addr, uint8_t Value) {
-  return write(Addr, &Value, sizeof(Value));
 }

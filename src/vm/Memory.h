@@ -16,9 +16,18 @@
 /// (one Instruction record per aligned 8-byte slot, indexed by PC >> 3)
 /// so the interpreter's run loop fetches decoded instructions directly
 /// instead of re-decoding bytes on every dynamic instruction. Any byte
-/// write to a page — guest stores, the DBT installing or chain-patching
-/// translations, flush unchaining — drops that page's side array, which
-/// preserves self-modifying-code semantics.
+/// write to such a page — guest stores, the DBT installing or
+/// chain-patching translations, flush unchaining — re-decodes the slots
+/// it touched in place, which preserves self-modifying-code semantics.
+///
+/// The interpreter's hot path never leaves the header on a hit: fetches
+/// go through a one-entry I-side cache of the last decoded page, and
+/// 1- and 8-byte loads and stores through a small direct-mapped D-side
+/// TLB of page pointers (DESIGN.md §6). Anything else — page straddles,
+/// unmapped pages, permission failures, the first write to a page in a
+/// write epoch, writes to pages with a live side array — takes the
+/// byte-granular access() path, so trap kinds and addresses are the same
+/// on both paths.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,9 +38,9 @@
 #include "vm/Layout.h"
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 
 namespace cfed {
 
@@ -102,17 +111,31 @@ public:
   /// slow path then raises the same illegal-instruction trap a raw decode
   /// would). Permission failures are reported through \p Result exactly
   /// like fetch().
-  const Instruction *fetchDecoded(uint64_t Addr, MemResult &Result);
+  const Instruction *fetchDecoded(uint64_t Addr, MemResult &Result) {
+    // I-side hit: an aligned PC on the page the last slow fetch decoded.
+    // The mask keeps the low three bits, so a misaligned PC never matches
+    // the page-aligned ICachedBase.
+    if ((Addr & (~(PageSize - 1) | (InsnSize - 1))) == ICachedBase) {
+      const Instruction &I = ICachedPage->Insns[(Addr % PageSize) / InsnSize];
+      if (I.Op != DecodedPage::IllegalOp) {
+        ++PredecodeHits;
+        Result = MemResult::Ok;
+        return &I;
+      }
+    }
+    return fetchDecodedSlow(Addr, Result);
+  }
 
   /// Drops predecoded side arrays for all pages overlapping
-  /// [Base, Base+Size). Writes invalidate automatically; this is for
+  /// [Base, Base+Size). Writes keep the arrays coherent; this is for
   /// callers that change what an address range means without writing it
   /// (e.g. the DBT's flush path, belt and braces).
   void invalidatePredecode(uint64_t Base, uint64_t Size);
 
   /// Predecode-cache hits: aligned fetches served from a live side array.
   uint64_t predecodeHitCount() const { return PredecodeHits; }
-  /// Predecode-cache misses: page decode events plus slow-path fetches
+  /// Predecode-cache misses: decode events (whole-page decodes and
+  /// in-place re-decodes after a write) plus slow-path fetches
   /// (misaligned or undecodable).
   uint64_t predecodeMissCount() const {
     return PredecodeDecodes + PredecodeSlow;
@@ -127,56 +150,126 @@ public:
 
   /// Starts a new write epoch: every tracked page reports its next write
   /// to the observer again. Called after a checkpoint or rollback.
-  void resetWriteEpoch();
+  void resetWriteEpoch() { ++WriteEpoch; }
 
   /// Permission-less accessors for the loader, the translator and tests.
   /// The pages must be mapped.
   void writeRaw(uint64_t Addr, const void *In, uint64_t Size);
   void readRaw(uint64_t Addr, void *Out, uint64_t Size) const;
 
-  uint64_t read64(uint64_t Addr, MemResult &Result) const;
-  MemResult write64(uint64_t Addr, uint64_t Value);
-  uint8_t read8(uint64_t Addr, MemResult &Result) const;
-  MemResult write8(uint64_t Addr, uint8_t Value);
+  uint64_t read64(uint64_t Addr, MemResult &Result) const {
+    return load<uint64_t>(Addr, Result);
+  }
+  MemResult write64(uint64_t Addr, uint64_t Value) {
+    return store<uint64_t>(Addr, Value);
+  }
+  uint8_t read8(uint64_t Addr, MemResult &Result) const {
+    return load<uint8_t>(Addr, Result);
+  }
+  MemResult write8(uint64_t Addr, uint8_t Value) {
+    return store<uint8_t>(Addr, Value);
+  }
 
   /// Returns true if any page overlapping [Base, Base+Size) is mapped.
   bool isMapped(uint64_t Addr) const;
 
 private:
   /// Predecoded view of one executable page: Insns[Slot] caches
-  /// Instruction::decode of the 8 bytes at Slot * InsnSize; Illegal marks
-  /// slots whose bytes do not decode.
+  /// Instruction::decode of the 8 bytes at Slot * InsnSize, or holds
+  /// IllegalOp for slots whose bytes do not decode.
   struct DecodedPage {
     static constexpr uint64_t NumSlots = PageSize / InsnSize;
+    /// Never a valid opcode byte: decode rejects anything >= NumOpcodes.
+    static constexpr Opcode IllegalOp = static_cast<Opcode>(0xFF);
+    static_assert(NumOpcodes <= 0xFF);
     Instruction Insns[NumSlots];
-    uint64_t Illegal[NumSlots / 64] = {};
+    /// Written (and re-decoded in place) since the last fetch from this
+    /// page. The next fetch counts one decode event, the count a drop
+    /// and re-decode of the whole page would have produced.
+    bool Patched = false;
 
-    bool isIllegal(uint64_t Slot) const {
-      return (Illegal[Slot / 64] >> (Slot % 64)) & 1;
+    void decodeSlot(const uint8_t *PageBytes, uint64_t Slot) {
+      auto I = Instruction::decode(PageBytes + Slot * InsnSize);
+      Insns[Slot] = I ? *I : Instruction(IllegalOp, 0, 0, 0, 0);
     }
   };
 
   struct Page {
     uint8_t Perms = PermNone;
-    uint8_t Bytes[PageSize] = {};
+    /// WriteEpoch of this page's last write. A store into a page already
+    /// written this epoch needs no observer report.
+    uint64_t DirtyEpoch = 0;
     std::unique_ptr<DecodedPage> Decoded;
+    uint8_t Bytes[PageSize] = {};
+
+    /// A store may skip access(): writable, already reported this epoch,
+    /// and no side array to keep coherent.
+    bool fastWritable(uint64_t Epoch) const {
+      return DirtyEpoch == Epoch && (Perms & PermW) && !Decoded;
+    }
   };
+
+  /// One D-TLB slot: a mapped page and its index. Pages are never
+  /// unmapped or moved, so an entry stays valid for the Memory's life;
+  /// permissions are read from the page itself on every hit.
+  struct TlbEntry {
+    uint64_t PageIndex = ~0ULL;
+    Page *P = nullptr;
+  };
+  static constexpr uint64_t TlbSize = 16;
 
   enum class AccessKind { Read, Write, Fetch, Raw };
 
-  Page *lookup(uint64_t PageIndex);
-  const Page *lookup(uint64_t PageIndex) const;
+  /// The page of an access of \p Size bytes at \p Addr that lies within
+  /// one page and hits in the D-TLB; nullptr otherwise.
+  Page *tlbPage(uint64_t Addr, uint64_t Size) const {
+    if (Addr % PageSize > PageSize - Size)
+      return nullptr;
+    const TlbEntry &E = Tlb[(Addr / PageSize) % TlbSize];
+    return E.PageIndex == Addr / PageSize ? E.P : nullptr;
+  }
+
+  template <typename T> T load(uint64_t Addr, MemResult &Result) const {
+    T Value = 0;
+    if (const Page *P = tlbPage(Addr, sizeof(T)); P && (P->Perms & PermR)) {
+      std::memcpy(&Value, P->Bytes + Addr % PageSize, sizeof(T));
+      Result = MemResult::Ok;
+      return Value;
+    }
+    Result = read(Addr, &Value, sizeof(T));
+    return Value;
+  }
+
+  template <typename T> MemResult store(uint64_t Addr, T Value) {
+    if (Page *P = tlbPage(Addr, sizeof(T)); P && P->fastWritable(WriteEpoch)) {
+      std::memcpy(P->Bytes + Addr % PageSize, &Value, sizeof(T));
+      return MemResult::Ok;
+    }
+    return write(Addr, &Value, sizeof(T));
+  }
+
+  /// Looks \p PageIndex up through the D-TLB, filling it on a miss.
+  Page *lookup(uint64_t PageIndex) const;
   MemResult access(uint64_t Addr, void *Out, const void *In, uint64_t Size,
                    AccessKind Kind) const;
+  const Instruction *fetchDecodedSlow(uint64_t Addr, MemResult &Result);
+  /// Drops the I-side entry (permission change, side-array release or
+  /// in-place patch of the cached page).
+  void dropICache() {
+    ICachedBase = ~0ULL;
+    ICachedPage = nullptr;
+  }
 
   std::unordered_map<uint64_t, std::unique_ptr<Page>> Pages;
-  // Single-entry lookup cache (pages are immovable once allocated).
-  mutable uint64_t CachedIndex = ~0ULL;
-  mutable Page *CachedPage = nullptr;
+  mutable TlbEntry Tlb[TlbSize];
+  // I-side entry: base address of the last page fetchDecodedSlow served
+  // (executable, side array live) and that array.
+  uint64_t ICachedBase = ~0ULL;
+  const DecodedPage *ICachedPage = nullptr;
   PageWriteObserver *WriteObserver = nullptr;
   uint64_t WriteObserverLimit = 0;
-  // Page indices already reported to the observer this epoch.
-  std::unordered_set<uint64_t> EpochDirty;
+  // Starts above every page's initial DirtyEpoch of 0.
+  uint64_t WriteEpoch = 1;
   uint64_t PredecodeHits = 0;
   uint64_t PredecodeDecodes = 0;
   uint64_t PredecodeSlow = 0;

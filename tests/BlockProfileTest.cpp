@@ -1,5 +1,6 @@
 //===- BlockProfileTest.cpp - Tests for hot-spot attribution -------------------===//
 
+#include "OverheadBound.h"
 #include "asm/Assembler.h"
 #include "dbt/Dbt.h"
 #include "telemetry/BlockProfile.h"
@@ -11,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 
 using namespace cfed;
 using telemetry::BlockProfile;
@@ -238,23 +238,12 @@ TEST(BlockProfileTest, DisabledProfilingOverheadGate) {
     loadProgram(Program, LoadMode::Native, Mem, Interp.state());
     if (WithProfileBound)
       Interp.setBlockProfile(&Profile);
-    auto Begin = std::chrono::steady_clock::now();
+    double Begin = threadCpuSeconds();
     Interp.run(Budget);
-    auto End = std::chrono::steady_clock::now();
-    return std::chrono::duration<double>(End - Begin).count();
+    return threadCpuSeconds() - Begin;
   };
 
-  double Overhead = 0.0;
-  for (int Attempt = 0; Attempt < 3; ++Attempt) {
-    double MinBase = 1e30, MinBound = 1e30;
-    for (int Rep = 0; Rep < 5; ++Rep) {
-      MinBase = std::min(MinBase, TimedRun(false));
-      MinBound = std::min(MinBound, TimedRun(true));
-    }
-    Overhead = MinBound / MinBase - 1.0;
-    if (Overhead <= 0.02)
-      break;
-  }
+  double Overhead = test::settledOverhead(TimedRun, 0.02);
   EXPECT_LE(Overhead, 0.02)
       << "disabled-profiling overhead on the dispatch hot loop: "
       << Overhead * 100 << "%";

@@ -7,6 +7,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "OverheadBound.h"
 #include "support/Json.h"
 #include "telemetry/LiveExport.h"
 #include "telemetry/LiveView.h"
@@ -353,7 +354,7 @@ TEST(LiveViewTest, RenderFlagsStalledShardsAndMergesCells) {
 
 // A run that carries a live exporter which never fires (interval far
 // beyond the run time) must cost within 2% of one with no exporter at
-// all. Timing is noisy under CI: min-of-several repeats, retried.
+// all (paired-median estimate, see OverheadBound.h).
 TEST(LiveExportOverheadTest, IdleExporterWithinTwoPercent) {
   AsmProgram Program = assembleWorkload("181.mcf");
   constexpr uint64_t Budget = 200000;
@@ -376,29 +377,16 @@ TEST(LiveExportOverheadTest, IdleExporterWithinTwoPercent) {
     Memory Mem;
     Interpreter Interp(Mem);
     loadProgram(Program, LoadMode::Native, Mem, Interp.state());
-    auto Begin = std::chrono::steady_clock::now();
+    double Begin = threadCpuSeconds();
     Interp.run(Budget);
-    auto End = std::chrono::steady_clock::now();
+    double Seconds = threadCpuSeconds() - Begin;
     if (Exporter)
       Exporter->stop();
     std::remove(Path.c_str());
-    return std::chrono::duration<double>(End - Begin).count();
+    return Seconds;
   };
 
-  // Timing under a loaded parallel ctest run (often a single CPU) is
-  // noisy enough that a 2% bound needs generous retries on top of the
-  // min-of-reps filtering.
-  double Overhead = 0.0;
-  for (int Attempt = 0; Attempt < 6; ++Attempt) {
-    double MinBase = 1e30, MinLive = 1e30;
-    for (int Rep = 0; Rep < 5; ++Rep) {
-      MinBase = std::min(MinBase, TimedRun(false));
-      MinLive = std::min(MinLive, TimedRun(true));
-    }
-    Overhead = MinLive / MinBase - 1.0;
-    if (Overhead <= 0.02)
-      break;
-  }
+  double Overhead = test::settledOverhead(TimedRun, 0.02);
   EXPECT_LE(Overhead, 0.02)
       << "idle live-exporter overhead on the interpreter loop: "
       << Overhead * 100 << "%";

@@ -249,6 +249,150 @@ TEST(MemoryTest, WriteObserverSeesCrossPageWriteOncePerPage) {
   EXPECT_EQ(Observer.Events[1].PageBase, 0x1000u + PageSize);
 }
 
+//===----------------------------------------------------------------------===//
+// Soft-TLB coherence: the inline I-side and D-side fast paths must see
+// every permission change, epoch change and code write.
+//===----------------------------------------------------------------------===//
+
+TEST(MemoryTest, SetPermsDropsCachedCodePage) {
+  Memory Mem;
+  Mem.mapRegion(0x1000, PageSize, PermRWX);
+  pokeInsn(Mem, 0x1000, insn::rri(Opcode::AddI, 1, 1, 1));
+  pokeInsn(Mem, 0x1008, insn::rri(Opcode::AddI, 2, 2, 2));
+  MemResult R = MemResult::Unmapped;
+  ASSERT_NE(Mem.fetchDecoded(0x1000, R), nullptr);
+  ASSERT_NE(Mem.fetchDecoded(0x1008, R), nullptr); // I-side hit.
+
+  Mem.setPerms(0x1000, PageSize, PermRW);
+  EXPECT_EQ(Mem.fetchDecoded(0x1008, R), nullptr);
+  EXPECT_EQ(R, MemResult::NoExec);
+
+  Mem.setPerms(0x1000, PageSize, PermRX);
+  const Instruction *I = Mem.fetchDecoded(0x1008, R);
+  EXPECT_EQ(R, MemResult::Ok);
+  ASSERT_NE(I, nullptr);
+  EXPECT_EQ(I->Imm, 2);
+}
+
+TEST(MemoryTest, ConflictingTlbPagesStayCoherent) {
+  // 16 pages apart: both pages share one slot of the direct-mapped
+  // D-TLB, so every alternate access evicts the other page's entry.
+  Memory Mem;
+  constexpr uint64_t A = 0x40000;
+  constexpr uint64_t B = A + 16 * PageSize;
+  Mem.mapRegion(A, PageSize, PermRW);
+  Mem.mapRegion(B, PageSize, PermRW);
+  MemResult R = MemResult::Unmapped;
+  for (uint64_t I = 0; I < 8; ++I) {
+    ASSERT_EQ(Mem.write64(A + 8 * I, 0xA000 + I), MemResult::Ok);
+    ASSERT_EQ(Mem.write64(B + 8 * I, 0xB000 + I), MemResult::Ok);
+    ASSERT_EQ(Mem.write8(A + 100 + I, static_cast<uint8_t>(I)), MemResult::Ok);
+    ASSERT_EQ(Mem.write8(B + 100 + I, static_cast<uint8_t>(I + 1)),
+              MemResult::Ok);
+  }
+  for (uint64_t I = 0; I < 8; ++I) {
+    EXPECT_EQ(Mem.read64(A + 8 * I, R), 0xA000 + I);
+    EXPECT_EQ(R, MemResult::Ok);
+    EXPECT_EQ(Mem.read64(B + 8 * I, R), 0xB000 + I);
+    EXPECT_EQ(Mem.read8(A + 100 + I, R), I);
+    EXPECT_EQ(Mem.read8(B + 100 + I, R), I + 1);
+  }
+
+  // Permissions are read from the page on every hit: revoking write on
+  // B (while its entry is live) must be seen at once, and A unaffected.
+  ASSERT_EQ(Mem.read64(B, R), 0xB000u);
+  Mem.setPerms(B, PageSize, PermR);
+  EXPECT_EQ(Mem.write64(B, 1), MemResult::NoWrite);
+  EXPECT_EQ(Mem.write8(B, 1), MemResult::NoWrite);
+  EXPECT_EQ(Mem.read64(B, R), 0xB000u);
+  EXPECT_EQ(R, MemResult::Ok);
+  EXPECT_EQ(Mem.write64(A, 7), MemResult::Ok);
+  EXPECT_EQ(Mem.read64(A, R), 7u);
+  Mem.setPerms(B, PageSize, PermNone);
+  Mem.read64(B, R);
+  EXPECT_EQ(R, MemResult::NoRead);
+  Mem.read8(B, R);
+  EXPECT_EQ(R, MemResult::NoRead);
+}
+
+TEST(MemoryTest, WriteObserverFiresOncePerEpochThroughInlineStores) {
+  Memory Mem;
+  Mem.mapRegion(0x1000, PageSize, PermRW);
+  ASSERT_EQ(Mem.write64(0x1000, 0x11), MemResult::Ok); // Warm the D-TLB.
+
+  RecordingObserver Observer;
+  Mem.setWriteObserver(&Observer, CacheBase);
+  ASSERT_EQ(Mem.write64(0x1000, 0x22), MemResult::Ok);
+  ASSERT_EQ(Mem.write64(0x1008, 0x33), MemResult::Ok);
+  ASSERT_EQ(Mem.write8(0x1010, 0x44), MemResult::Ok);
+  ASSERT_EQ(Observer.Events.size(), 1u);
+  EXPECT_EQ(Observer.Events[0].FirstOldByte, 0x11);
+
+  Mem.resetWriteEpoch();
+  ASSERT_EQ(Mem.write64(0x1000, 0x55), MemResult::Ok);
+  ASSERT_EQ(Mem.write64(0x1000, 0x66), MemResult::Ok);
+  ASSERT_EQ(Observer.Events.size(), 2u);
+  EXPECT_EQ(Observer.Events[1].FirstOldByte, 0x22);
+
+  // Installing an observer starts a fresh epoch, even the same one.
+  Mem.setWriteObserver(&Observer, CacheBase);
+  ASSERT_EQ(Mem.write8(0x1001, 0x77), MemResult::Ok);
+  ASSERT_EQ(Observer.Events.size(), 3u);
+  EXPECT_EQ(Observer.Events[2].FirstOldByte, 0x66);
+}
+
+TEST(MemoryTest, PlainStoreIntoDecodedPageServesNewInstruction) {
+  Memory Mem;
+  Mem.mapRegion(0x1000, PageSize, PermRWX);
+  pokeInsn(Mem, 0x1000, insn::rri(Opcode::AddI, 1, 1, 10));
+  pokeInsn(Mem, 0x1008, insn::rri(Opcode::AddI, 2, 2, 20));
+  MemResult R = MemResult::Ok;
+  ASSERT_NE(Mem.fetchDecoded(0x1000, R), nullptr);
+  ASSERT_NE(Mem.fetchDecoded(0x1008, R), nullptr);
+  uint64_t MissesBefore = Mem.predecodeMissCount();
+
+  // A guest-style 8-byte store (no DBT involved) over the second slot.
+  uint8_t Buffer[InsnSize];
+  insn::rri(Opcode::AddI, 2, 2, 99).encode(Buffer);
+  uint64_t Word = 0;
+  std::memcpy(&Word, Buffer, sizeof(Word));
+  ASSERT_EQ(Mem.write64(0x1008, Word), MemResult::Ok);
+
+  const Instruction *I = Mem.fetchDecoded(0x1008, R);
+  ASSERT_NE(I, nullptr);
+  EXPECT_EQ(I->Imm, 99);
+  // The untouched slot keeps its decode; the patch is one decode event.
+  I = Mem.fetchDecoded(0x1000, R);
+  ASSERT_NE(I, nullptr);
+  EXPECT_EQ(I->Imm, 10);
+  EXPECT_EQ(Mem.predecodeMissCount(), MissesBefore + 1);
+
+  // A store that turns a slot into garbage makes it take the slow path.
+  ASSERT_EQ(Mem.write8(0x1000, 0xFF), MemResult::Ok);
+  EXPECT_EQ(Mem.fetchDecoded(0x1000, R), nullptr);
+  EXPECT_EQ(R, MemResult::Ok);
+}
+
+TEST(MemoryTest, Write64AtPageEndStraddlesAndObservesBoth) {
+  Memory Mem;
+  Mem.mapRegion(0x1000, 2 * PageSize, PermRW);
+  MemResult R = MemResult::Ok;
+  // Warm both pages into the D-TLB so a fast path would be tempted.
+  Mem.read64(0x1000, R);
+  Mem.read64(0x1000 + PageSize, R);
+  RecordingObserver Observer;
+  Mem.setWriteObserver(&Observer, CacheBase);
+  uint64_t Straddle = 0x1000 + PageSize - 4;
+  ASSERT_EQ(Mem.write64(Straddle, 0x8877665544332211ULL), MemResult::Ok);
+  ASSERT_EQ(Observer.Events.size(), 2u);
+  EXPECT_EQ(Observer.Events[0].PageBase, 0x1000u);
+  EXPECT_EQ(Observer.Events[1].PageBase, 0x1000u + PageSize);
+  EXPECT_EQ(Mem.read64(Straddle, R), 0x8877665544332211ULL);
+  EXPECT_EQ(Mem.read8(Straddle, R), 0x11);                // Low page.
+  EXPECT_EQ(Mem.read8(0x1000 + PageSize, R), 0x55);       // High page.
+  EXPECT_EQ(Mem.read64(0x1000 + PageSize, R), 0x88776655u);
+}
+
 TEST(LoaderTest, NativeLayout) {
   AsmResult R = assembleProgram(".data\nv: .word 9\n.code\nmain:\nhalt\n"
                                 ".entry main\n");

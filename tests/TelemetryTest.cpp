@@ -7,6 +7,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "OverheadBound.h"
 #include "support/Json.h"
 #include "telemetry/Metrics.h"
 #include "telemetry/Profile.h"
@@ -17,7 +18,6 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <map>
 #include <string>
 #include <vector>
@@ -305,8 +305,7 @@ TEST(ProfileTest, NullScopeIsNoop) {
 // The per-instruction dispatch loop keeps plain fields and publishes
 // them only at sync points (DESIGN.md §8), so a run that ends with
 // publishMetrics() must cost within 2% of one that never touches
-// telemetry. Timing is noisy under CI: take the min of several
-// interleaved repeats and retry the whole measurement before failing.
+// telemetry (paired-median estimate, see OverheadBound.h).
 TEST(TelemetryOverheadTest, DisabledTelemetryWithinTwoPercent) {
   AsmProgram Program = assembleWorkload("181.mcf");
   constexpr uint64_t Budget = 200000;
@@ -315,27 +314,16 @@ TEST(TelemetryOverheadTest, DisabledTelemetryWithinTwoPercent) {
     Memory Mem;
     Interpreter Interp(Mem);
     loadProgram(Program, LoadMode::Native, Mem, Interp.state());
-    auto Begin = std::chrono::steady_clock::now();
+    double Begin = threadCpuSeconds();
     Interp.run(Budget);
     if (WithTelemetry) {
       MetricsRegistry Registry;
       Interp.publishMetrics(Registry);
     }
-    auto End = std::chrono::steady_clock::now();
-    return std::chrono::duration<double>(End - Begin).count();
+    return threadCpuSeconds() - Begin;
   };
 
-  double Overhead = 0.0;
-  for (int Attempt = 0; Attempt < 3; ++Attempt) {
-    double MinBase = 1e30, MinTele = 1e30;
-    for (int Rep = 0; Rep < 5; ++Rep) {
-      MinBase = std::min(MinBase, TimedRun(false));
-      MinTele = std::min(MinTele, TimedRun(true));
-    }
-    Overhead = MinTele / MinBase - 1.0;
-    if (Overhead <= 0.02)
-      break;
-  }
+  double Overhead = test::settledOverhead(TimedRun, 0.02);
   EXPECT_LE(Overhead, 0.02)
       << "disabled-telemetry overhead on the dispatch hot loop: "
       << Overhead * 100 << "%";

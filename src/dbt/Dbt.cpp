@@ -145,8 +145,13 @@ void Dbt::reprotectCodePages() {
 }
 
 uint64_t Dbt::lookupOrTranslate(uint64_t GuestTarget) {
-  if (const TranslatedBlock *TB = BlockMap.find(GuestTarget))
-    return TB->CacheAddr;
+  const TranslatedBlock *TB = lookupOrTranslateBlock(GuestTarget);
+  return TB ? TB->CacheAddr : GuestTarget;
+}
+
+TranslatedBlock *Dbt::lookupOrTranslateBlock(uint64_t GuestTarget) {
+  if (TranslatedBlock *TB = BlockMap.findMutable(GuestTarget))
+    return TB;
   // Eager mode translated the whole program up front; the translation
   // set is frozen because the whole-program techniques (CFCSS/ECCA)
   // assigned signatures from the static CFG. A miss on a static leader
@@ -155,19 +160,22 @@ uint64_t Dbt::lookupOrTranslate(uint64_t GuestTarget) {
   // miss is an erroneous target: execute it raw and let the page
   // protection trap.
   if (Config.EagerTranslate) {
-    if (std::binary_search(EagerLeaders.begin(), EagerLeaders.end(),
-                           GuestTarget))
-      return translate(GuestTarget);
-    return GuestTarget;
+    if (!std::binary_search(EagerLeaders.begin(), EagerLeaders.end(),
+                            GuestTarget))
+      return nullptr;
+  } else if (GuestTarget < GuestCodeBase ||
+             GuestTarget >= GuestCodeBase + GuestCodeSize ||
+             (GuestTarget - GuestCodeBase) % InsnSize != 0) {
+    // Only instruction-aligned targets inside the code segment are
+    // translatable; anything else executes raw and traps on the guest's
+    // non-executable pages (the hardware category-F detector).
+    return nullptr;
   }
-  // Only instruction-aligned targets inside the code segment are
-  // translatable; anything else executes raw and traps on the guest's
-  // non-executable pages (the hardware category-F detector).
-  if (GuestTarget < GuestCodeBase ||
-      GuestTarget >= GuestCodeBase + GuestCodeSize ||
-      (GuestTarget - GuestCodeBase) % InsnSize != 0)
-    return GuestTarget;
-  return translate(GuestTarget);
+  // A translation registers its entry block; an undecodable entry runs
+  // raw.
+  if (!isCacheAddr(translate(GuestTarget)))
+    return nullptr;
+  return BlockMap.findMutable(GuestTarget);
 }
 
 uint64_t Dbt::translate(uint64_t EntryGuest) {
@@ -517,6 +525,7 @@ uint64_t Dbt::translate(uint64_t EntryGuest) {
     Code[I].encode(&Encoded[I * InsnSize]);
   Mem.writeRaw(Base, Encoded.data(), Bytes);
   CacheAlloc = Base + Bytes;
+  SafePoints.resize((CacheAlloc - CacheBase) / InsnSize);
   FoldedUpdates.inc(Builder.foldedCount());
   TraceDeadUpdates.inc(Builder.deadCount());
   if (Promoting && Subs.size() > 1)
@@ -568,7 +577,9 @@ uint64_t Dbt::translate(uint64_t EntryGuest) {
                                     Base + EndIdx * InsnSize);
     // The prologue start of a registered sub-block is a guest-consistent
     // re-entry point: record it for the recovery subsystem.
-    SafePoints[TB.CacheAddr] = SafePointInfo{Sub.Guest, Sub.Checked};
+    SafePoints[(TB.CacheAddr - CacheBase) / InsnSize] =
+        SafePointInfo{static_cast<uint32_t>(Sub.Guest), Sub.Checked, true};
+    ++NumSafePoints;
     NumCheckSites += Sub.Checked;
     if (integrityEnabled())
       TB.IntegrityWord = computeIntegrityWord(TB);
@@ -580,24 +591,14 @@ uint64_t Dbt::translate(uint64_t EntryGuest) {
 uint64_t Dbt::onDirectExit(uint64_t SiteAddr, uint64_t GuestTarget) {
   Dispatches.inc();
   maybeScrub();
-  uint64_t Cache = lookupOrTranslate(GuestTarget);
-  // Verify before chaining: a corrupted target must be healed, not
-  // wired into the fast path.
-  if (Config.VerifyDispatchInterval && dispatchVerify(GuestTarget))
-    Cache = lookupOrTranslate(GuestTarget);
-  if (Config.Tier == DbtTier::Opt)
-    Cache = maybePromote(GuestTarget, Cache);
-  bool Translated = BlockMap.contains(GuestTarget);
-  if (Config.Tier == DbtTier::Opt && Translated) {
-    // Hold chaining until the target's unit is promoted: a chain patch
-    // would freeze this edge on the unoptimized translation and starve
-    // the promoter of the dispatches it watches. Every edge pays at
-    // most PromoteThreshold trampoline dispatches before its target
-    // either promotes (then chains) or proves cold.
-    const TranslatedBlock *TB = BlockMap.find(GuestTarget);
-    if (TB && !TB->Promoted)
-      Translated = false;
-  }
+  const TranslatedBlock *TB = resolveDispatch(GuestTarget);
+  uint64_t Cache = TB ? TB->CacheAddr : GuestTarget;
+  // Opt tier: hold chaining until the target's unit is promoted: a chain
+  // patch would freeze this edge on the unoptimized translation and
+  // starve the promoter of the dispatches it watches. Every edge pays at
+  // most PromoteThreshold trampoline dispatches before its target
+  // either promotes (then chains) or proves cold.
+  bool Translated = TB && (Config.Tier != DbtTier::Opt || TB->Promoted);
   if (Config.ChainDirectExits && Translated && isCacheAddr(SiteAddr)) {
     // Patch the Tramp into a direct jump (block chaining).
     Instruction Jump = insn::i(Opcode::Jmp,
@@ -636,24 +637,36 @@ uint64_t Dbt::onIndirectExit(uint64_t SiteAddr, uint64_t GuestTarget) {
       Entry = IbtcEntry{};
     } else {
       IbtcHits.inc();
-      if (Config.VerifyDispatchInterval && dispatchVerify(GuestTarget))
+      if (!Config.VerifyDispatchInterval && Config.Tier != DbtTier::Opt)
+        return Entry.Cache;
+      TranslatedBlock *TB = BlockMap.findMutable(GuestTarget);
+      if (Config.VerifyDispatchInterval && dispatchVerify(TB))
         return lookupOrTranslate(GuestTarget);
       // Indirect-only targets would otherwise hit here forever and
-      // never promote; the check is two hash probes on the hit path.
-      if (Config.Tier == DbtTier::Opt)
-        return maybePromote(GuestTarget, Entry.Cache);
+      // never promote.
+      if (Config.Tier == DbtTier::Opt && maybePromote(GuestTarget, TB))
+        return TB ? TB->CacheAddr : GuestTarget;
       return Entry.Cache;
     }
   }
   IbtcMisses.inc();
-  uint64_t Cache = lookupOrTranslate(GuestTarget);
-  if (Config.VerifyDispatchInterval && dispatchVerify(GuestTarget))
-    Cache = lookupOrTranslate(GuestTarget);
+  const TranslatedBlock *TB = resolveDispatch(GuestTarget);
+  if (!TB)
+    return GuestTarget;
+  Entry = {GuestTarget, TB->CacheAddr,
+           ibtcCheckWord(GuestTarget, TB->CacheAddr)};
+  return TB->CacheAddr;
+}
+
+TranslatedBlock *Dbt::resolveDispatch(uint64_t GuestTarget) {
+  TranslatedBlock *TB = lookupOrTranslateBlock(GuestTarget);
+  // Verify before chaining: a corrupted target must be healed, not
+  // wired into the fast path.
+  if (Config.VerifyDispatchInterval && dispatchVerify(TB))
+    TB = lookupOrTranslateBlock(GuestTarget);
   if (Config.Tier == DbtTier::Opt)
-    Cache = maybePromote(GuestTarget, Cache);
-  if (BlockMap.contains(GuestTarget))
-    Entry = {GuestTarget, Cache, ibtcCheckWord(GuestTarget, Cache)};
-  return Cache;
+    maybePromote(GuestTarget, TB);
+  return TB;
 }
 
 bool Dbt::onWriteViolation(uint64_t DataAddr) {
@@ -718,31 +731,30 @@ CheckPolicy Dbt::regionPolicy(uint64_t RegionHead) const {
              : Config.Policy;
 }
 
-uint64_t Dbt::maybePromote(uint64_t GuestTarget, uint64_t Cache) {
+bool Dbt::maybePromote(uint64_t GuestTarget, TranslatedBlock *&TB) {
   if (Config.Tier != DbtTier::Opt || !Profile || Promoting)
-    return Cache;
-  TranslatedBlock *TB = BlockMap.findMutable(GuestTarget);
+    return false;
   if (!TB || TB->Promoted)
-    return Cache;
+    return false;
   // Heat is judged at the unit head (the retranslation entry), but an
   // inner member crossing the threshold also qualifies the unit — its
   // head may sit outside the hot loop.
   if (Profile->execCount(TB->UnitHead) < Config.PromoteThreshold &&
       Profile->execCount(GuestTarget) < Config.PromoteThreshold)
-    return Cache;
+    return false;
   telemetry::PhaseProfiler::Scope Timer(Profiler, telemetry::Phase::Trace);
   uint64_t Head = evictUnit(TB->CacheAddr + TB->CacheSize);
   if (Head == ~0ULL)
-    return Cache;
+    return false;
   TracePromotions.inc();
   Promoting = true;
   translate(Head);
   Promoting = false;
-  uint64_t NewCache = lookupOrTranslate(GuestTarget);
+  TB = lookupOrTranslateBlock(GuestTarget);
   if (Tracer)
     Tracer->record(now(), telemetry::TraceEventKind::TracePromoted, nullptr,
                    Head, Profile->execCount(Head));
-  return NewCache;
+  return true;
 }
 
 //===----------------------------------------------------------------------===//
@@ -809,8 +821,7 @@ void Dbt::resealBlocksContaining(uint64_t CacheAddr) {
       TB.IntegrityWord = computeIntegrityWord(TB);
 }
 
-bool Dbt::dispatchVerify(uint64_t GuestTarget) {
-  TranslatedBlock *TB = BlockMap.findMutable(GuestTarget);
+bool Dbt::dispatchVerify(TranslatedBlock *TB) {
   if (!TB)
     return false;
   if (++TB->Hits < Config.VerifyDispatchInterval)
@@ -1058,13 +1069,15 @@ uint64_t Dbt::evictUnit(uint64_t UnitEnd) {
 
   // Safe points (and the check-site census) of the evicted range.
   if (RangeBegin < RangeEnd)
-    for (auto It = SafePoints.begin(); It != SafePoints.end();) {
-      if (It->first >= RangeBegin && It->first < RangeEnd) {
-        NumCheckSites -= It->second.Checked;
-        It = SafePoints.erase(It);
-      } else {
-        ++It;
-      }
+    for (uint64_t Index = (RangeBegin - CacheBase + InsnSize - 1) / InsnSize,
+                  End = (RangeEnd - CacheBase + InsnSize - 1) / InsnSize;
+         Index < End; ++Index) {
+      SafePointInfo &SP = SafePoints[Index];
+      if (!SP.Live)
+        continue;
+      NumCheckSites -= SP.Checked;
+      --NumSafePoints;
+      SP = SafePointInfo{};
     }
 
   // IBTC entries keyed by an evicted guest or pointing into the unit.
@@ -1148,6 +1161,7 @@ void Dbt::flushTranslations() {
   Patches.clear();
   BlockMap.clear();
   SafePoints.clear();
+  NumSafePoints = 0;
   NumCheckSites = 0;
   // Stale guest→cache mappings must not short-circuit re-dispatch.
   Ibtc.fill(IbtcEntry{});

@@ -60,7 +60,6 @@
 #include <array>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace cfed {
@@ -185,13 +184,18 @@ struct TranslatedBlock {
 /// executed block), so the recovery subsystem may checkpoint there and
 /// resume from the corresponding guest address after a rollback.
 struct SafePointInfo {
-  /// Guest address of the sub-block entered here.
-  uint64_t GuestAddr = 0;
+  /// Guest address of the sub-block entered here (guest code lies below
+  /// 4 GiB, so 32 bits keep a table slot at one cache word's size).
+  uint32_t GuestAddr = 0;
   /// True when the checker emitted a signature *check* (not just an
   /// update) in this prologue — the anchors the errant-flow watchdog
   /// counts instructions between.
   bool Checked = false;
+  /// False for table slots of cache words that are not safe points.
+  bool Live = false;
 };
+static_assert(CodeBase + CodeMaxSize <= UINT32_MAX,
+              "SafePointInfo::GuestAddr holds any guest code address");
 
 /// A branch fault site discovered in translated code.
 struct BranchSiteInfo {
@@ -239,11 +243,19 @@ public:
   /// nullptr (stale translations from before a flush are not included).
   const TranslatedBlock *cacheBlockContaining(uint64_t Addr) const;
 
-  /// Safe points of all live translations, keyed by cache address.
-  /// Cleared on flush; repopulated as blocks retranslate.
-  const std::unordered_map<uint64_t, SafePointInfo> &safePoints() const {
-    return SafePoints;
+  /// The safe point at \p CacheAddr, or nullptr when the address is not
+  /// the entry of a live translation's registered sub-block. Cleared on
+  /// flush; repopulated as blocks retranslate. One bounds check and one
+  /// table load: the recovery hook asks on every executed instruction.
+  const SafePointInfo *safePointAt(uint64_t CacheAddr) const {
+    uint64_t Offset = CacheAddr - CacheBase;
+    if (Offset % InsnSize != 0 || Offset / InsnSize >= SafePoints.size())
+      return nullptr;
+    const SafePointInfo &SP = SafePoints[Offset / InsnSize];
+    return SP.Live ? &SP : nullptr;
   }
+  /// Number of live safe points.
+  uint64_t safePointCount() const { return NumSafePoints; }
 
   /// True when at least one live safe point carries a signature check —
   /// the precondition for the errant-flow watchdog to be meaningful.
@@ -453,14 +465,22 @@ private:
   /// returns its cache address.
   uint64_t translate(uint64_t GuestAddr);
   uint64_t lookupOrTranslate(uint64_t GuestTarget);
+  /// lookupOrTranslate returning the block: nullptr when \p GuestTarget
+  /// is not translatable (it executes raw). One BlockMap probe on a hit.
+  TranslatedBlock *lookupOrTranslateBlock(uint64_t GuestTarget);
+  /// Resolves a dispatch to \p GuestTarget: looks it up (translating on
+  /// a miss), then runs lazy dispatch verification and opt-tier
+  /// promotion on the block found. Probes BlockMap again only when a
+  /// quarantine or promotion changed it. nullptr means a raw target.
+  TranslatedBlock *resolveDispatch(uint64_t GuestTarget);
   void flushTranslations();
   void reprotectCodePages();
 
-  /// Opt tier: when \p GuestTarget's unit head has crossed the
-  /// promotion threshold, evicts the unit and retranslates it as an
-  /// optimized trace. Returns the (possibly new) cache address to
-  /// dispatch to.
-  uint64_t maybePromote(uint64_t GuestTarget, uint64_t Cache);
+  /// Opt tier: when the unit of \p TB (\p GuestTarget's live block, or
+  /// nullptr) has crossed the promotion threshold, evicts the unit and
+  /// retranslates it as an optimized trace. Returns true when it did,
+  /// with \p TB re-resolved to \p GuestTarget's new block.
+  bool maybePromote(uint64_t GuestTarget, TranslatedBlock *&TB);
   /// Chooses the check policy for the region headed at \p RegionHead:
   /// the configured policy for cold regions, the relaxed HotPolicy once
   /// the profile shows the head past the promotion threshold (opt tier
@@ -498,10 +518,11 @@ private:
   /// Recomputes the integrity words of every live block whose range
   /// contains \p CacheAddr (after a legitimate chain-patch write).
   void resealBlocksContaining(uint64_t CacheAddr);
-  /// Lazy per-dispatch verification of \p GuestTarget's block. Returns
-  /// true when a mismatch was found and the unit was quarantined (the
-  /// caller must re-resolve its cache address).
-  bool dispatchVerify(uint64_t GuestTarget);
+  /// Lazy per-dispatch verification of \p TB, the dispatch target's
+  /// live block (nullptr: nothing to verify). Returns true when a
+  /// mismatch was found and the unit was quarantined (the caller must
+  /// re-resolve the target).
+  bool dispatchVerify(TranslatedBlock *TB);
   /// Runs a scrubber pass when the dispatch-count interval expired.
   void maybeScrub();
   /// Evicts the translation unit ending at \p UnitEnd: drops its blocks,
@@ -524,7 +545,10 @@ private:
   std::unique_ptr<ControlFlowChecker> Checker;
   ShadowStackChecker ShadowStack;
   BlockTable<TranslatedBlock> BlockMap;
-  std::unordered_map<uint64_t, SafePointInfo> SafePoints;
+  /// Safe points indexed by (cache address - CacheBase) / InsnSize,
+  /// sized to the allocated cache: one 8-byte slot per cache word.
+  std::vector<SafePointInfo> SafePoints;
+  uint64_t NumSafePoints = 0;
   /// Cache ranges whose translations were evicted (trace promotion,
   /// quarantine) but whose bytes stay allocated. Branch-site
   /// enumeration still reports them: a fault campaign's golden run

@@ -42,22 +42,19 @@ void RecoveryManager::onPageDirtied(uint64_t PageBase,
 void RecoveryManager::onInsn(uint64_t InsnAddr, const Instruction &I,
                              CpuState &State) {
   if (!Fallback) {
-    const auto &Points = Translator.safePoints();
-    auto It = Points.find(InsnAddr);
-    if (It != Points.end()) {
-      const SafePointInfo &SP = It->second;
+    if (const SafePointInfo *SP = Translator.safePointAt(InsnAddr)) {
       // The hook runs after the counters were charged for this
       // instruction but before it executes; the checkpointed counts must
       // not include it (it re-executes after a rollback).
       uint64_t InsnsNow = Interp.instructionCount() - 1;
       uint64_t CyclesNow = Interp.cycleCount() - getOpcodeCost(I.Op);
-      if (SP.Checked)
+      if (SP->Checked)
         LastCheck = InsnsNow;
       bool IntervalDue =
           InsnsNow - CheckpointInsns >= Config.CheckpointInterval;
       bool BudgetDue = totalUndoBytes() > Config.MemoryBudget;
       if (Checkpoints.empty() || IntervalDue || BudgetDue)
-        takeCheckpoint(SP.GuestAddr, InsnsNow, CyclesNow);
+        takeCheckpoint(SP->GuestAddr, InsnsNow, CyclesNow);
     }
   }
   if (SavedHook)

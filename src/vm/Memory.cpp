@@ -5,6 +5,7 @@
 #include "support/Diagnostics.h"
 #include "support/Format.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -15,45 +16,106 @@ Memory::Page *Memory::lookup(uint64_t PageIndex) const {
   if (E.PageIndex == PageIndex)
     return E.P;
   auto It = Pages.find(PageIndex);
-  if (It == Pages.end())
-    return nullptr; // Not cached: mapRegion may map the page later.
+  if (It == Pages.end()) {
+    // Demand-zero: the first touch of a mapped page allocates it. Not
+    // cached when unmapped: mapRegion may map the page later.
+    const Region *R = regionOf(PageIndex);
+    if (!R)
+      return nullptr;
+    It = Pages.emplace(PageIndex, std::make_unique<Page>()).first;
+    It->second->Perms = R->Perms;
+  }
   E.PageIndex = PageIndex;
   E.P = It->second.get();
   return E.P;
 }
 
-void Memory::mapRegion(uint64_t Base, uint64_t Size, uint8_t Perms) {
-  uint64_t First = Base / PageSize;
-  uint64_t Last = (Base + Size + PageSize - 1) / PageSize;
-  for (uint64_t Index = First; Index < Last; ++Index) {
-    auto &Slot = Pages[Index];
-    if (!Slot)
-      Slot = std::make_unique<Page>();
-    Slot->Perms = Perms;
+const Memory::Region *Memory::regionOf(uint64_t PageIndex) const {
+  auto It = std::partition_point(
+      Regions.begin(), Regions.end(),
+      [PageIndex](const Region &R) { return R.Last <= PageIndex; });
+  return It != Regions.end() && It->First <= PageIndex ? &*It : nullptr;
+}
+
+template <typename FnT>
+void Memory::forEachResident(uint64_t First, uint64_t Last, FnT Fn) {
+  if (Last - First <= Pages.size()) {
+    for (uint64_t Index = First; Index < Last; ++Index)
+      if (auto It = Pages.find(Index); It != Pages.end())
+        Fn(*It->second);
+    return;
   }
+  for (auto &[Index, P] : Pages)
+    if (Index >= First && Index < Last)
+      Fn(*P);
+}
+
+void Memory::assignPerms(uint64_t First, uint64_t Last, uint8_t Perms) {
+  if (First >= Last)
+    return;
+  // Regions overlapping or adjacent to [First, Last). Only the first can
+  // begin before First and only the last can end after Last; what they
+  // keep outside the range survives unless it coalesces with the new
+  // region, and everything in between is replaced.
+  auto Lo = std::partition_point(
+      Regions.begin(), Regions.end(),
+      [First](const Region &R) { return R.Last < First; });
+  auto Hi = std::partition_point(
+      Lo, Regions.end(), [Last](const Region &R) { return R.First <= Last; });
+  Region Pieces[3];
+  size_t NumPieces = 0;
+  Region Merged{First, Last, Perms};
+  Region Tail;
+  if (Lo != Hi) {
+    const Region &Front = *Lo;
+    const Region &Back = *(Hi - 1);
+    if (Front.First < First) {
+      if (Front.Perms == Perms)
+        Merged.First = Front.First;
+      else
+        Pieces[NumPieces++] = {Front.First, First, Front.Perms};
+    }
+    if (Back.Last > Last) {
+      if (Back.Perms == Perms)
+        Merged.Last = Back.Last;
+      else
+        Tail = {Last, Back.Last, Back.Perms};
+    }
+  }
+  Pieces[NumPieces++] = Merged;
+  if (Tail.First < Tail.Last)
+    Pieces[NumPieces++] = Tail;
+  Regions.insert(Regions.erase(Lo, Hi), Pieces, Pieces + NumPieces);
+
+  forEachResident(First, Last, [Perms](Page &P) { P.Perms = Perms; });
   dropICache();
+}
+
+void Memory::mapRegion(uint64_t Base, uint64_t Size, uint8_t Perms) {
+  assignPerms(Base / PageSize, (Base + Size + PageSize - 1) / PageSize,
+              Perms);
 }
 
 void Memory::setPerms(uint64_t Base, uint64_t Size, uint8_t Perms) {
   uint64_t First = Base / PageSize;
   uint64_t Last = (Base + Size + PageSize - 1) / PageSize;
-  for (uint64_t Index = First; Index < Last; ++Index) {
-    Page *P = lookup(Index);
-    if (!P)
+  for (uint64_t Next = First; Next < Last;) {
+    const Region *R = regionOf(Next);
+    if (!R)
       reportFatalErrorf("setPerms on unmapped page 0x%llx",
-                        static_cast<unsigned long long>(Index * PageSize));
-    P->Perms = Perms;
+                        static_cast<unsigned long long>(Next * PageSize));
+    Next = R->Last;
   }
-  dropICache();
+  assignPerms(First, Last, Perms);
 }
 
 uint8_t Memory::getPerms(uint64_t Addr) const {
-  const Page *P = lookup(Addr / PageSize);
-  return P ? P->Perms : static_cast<uint8_t>(PermNone);
+  const Region *R = regionOf(Addr / PageSize);
+  return R ? R->Perms : static_cast<uint8_t>(PermNone);
 }
 
 bool Memory::isMapped(uint64_t Addr) const {
-  return lookup(Addr / PageSize) != nullptr;
+  return regionOf(Addr / PageSize) != nullptr;
 }
 
 MemResult Memory::access(uint64_t Addr, void *Out, const void *In,
@@ -166,9 +228,7 @@ const Instruction *Memory::fetchDecodedSlow(uint64_t Addr, MemResult &Result) {
 void Memory::invalidatePredecode(uint64_t Base, uint64_t Size) {
   uint64_t First = Base / PageSize;
   uint64_t Last = (Base + Size + PageSize - 1) / PageSize;
-  for (uint64_t Index = First; Index < Last; ++Index)
-    if (Page *P = lookup(Index))
-      P->Decoded.reset();
+  forEachResident(First, Last, [](Page &P) { P.Decoded.reset(); });
   dropICache();
 }
 

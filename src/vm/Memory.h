@@ -6,6 +6,11 @@
 ///
 /// \file
 /// Sparse paged guest memory with per-page read/write/execute permissions.
+/// Pages are demand-zero: mapRegion and setPerms record page ranges in a
+/// short region list, and a page's storage is allocated (zero-filled, with
+/// its range's permissions) on the first access that lands on it, so
+/// loading a program costs what it touches, not what it maps.
+///
 /// The execute bit plays the role of the IA-32 execute-disable bit in the
 /// paper: wild control transfers into non-executable pages trap, which is
 /// the hardware detector for branch-error category F. The write bit
@@ -41,6 +46,7 @@
 #include <cstring>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 namespace cfed {
 
@@ -84,10 +90,11 @@ class Memory {
 public:
   /// Maps [Base, Base+Size) with \p Perms, zero-filled. Rounds outward to
   /// page boundaries. Remapping an existing page just updates permissions.
+  /// Allocates nothing: untouched pages materialize on first access.
   void mapRegion(uint64_t Base, uint64_t Size, uint8_t Perms);
 
   /// Changes permissions of all pages overlapping [Base, Base+Size).
-  /// The pages must already be mapped.
+  /// The pages must already be mapped (touched or not).
   void setPerms(uint64_t Base, uint64_t Size, uint8_t Perms);
 
   /// Returns the permissions of the page containing \p Addr, or PermNone
@@ -170,8 +177,11 @@ public:
     return store<uint8_t>(Addr, Value);
   }
 
-  /// Returns true if any page overlapping [Base, Base+Size) is mapped.
+  /// Returns true if the page containing \p Addr is mapped.
   bool isMapped(uint64_t Addr) const;
+
+  /// Number of pages with allocated storage (touched since mapping).
+  size_t residentPageCount() const { return Pages.size(); }
 
 private:
   /// Predecoded view of one executable page: Insns[Slot] caches
@@ -209,7 +219,16 @@ private:
     }
   };
 
-  /// One D-TLB slot: a mapped page and its index. Pages are never
+  /// A mapped range of page indices [First, Last). The region list is
+  /// sorted, disjoint, and adjacent regions differ in permissions; every
+  /// resident page lies in a region and carries its permissions.
+  struct Region {
+    uint64_t First = 0;
+    uint64_t Last = 0;
+    uint8_t Perms = PermNone;
+  };
+
+  /// One D-TLB slot: a resident page and its index. Pages are never
   /// unmapped or moved, so an entry stays valid for the Memory's life;
   /// permissions are read from the page itself on every hit.
   struct TlbEntry {
@@ -248,8 +267,18 @@ private:
     return write(Addr, &Value, sizeof(T));
   }
 
-  /// Looks \p PageIndex up through the D-TLB, filling it on a miss.
+  /// Looks \p PageIndex up through the D-TLB, filling it on a miss. The
+  /// first lookup of an untouched mapped page materializes it.
   Page *lookup(uint64_t PageIndex) const;
+  /// The region containing \p PageIndex, or nullptr if it is unmapped.
+  const Region *regionOf(uint64_t PageIndex) const;
+  /// Records [First, Last) -> \p Perms in the region list (overriding
+  /// what was there) and applies \p Perms to the range's resident pages.
+  void assignPerms(uint64_t First, uint64_t Last, uint8_t Perms);
+  /// Calls \p Fn on every resident page in [First, Last), in time
+  /// proportional to the smaller of the range and the resident set.
+  template <typename FnT>
+  void forEachResident(uint64_t First, uint64_t Last, FnT Fn);
   MemResult access(uint64_t Addr, void *Out, const void *In, uint64_t Size,
                    AccessKind Kind) const;
   const Instruction *fetchDecodedSlow(uint64_t Addr, MemResult &Result);
@@ -260,7 +289,9 @@ private:
     ICachedPage = nullptr;
   }
 
-  std::unordered_map<uint64_t, std::unique_ptr<Page>> Pages;
+  std::vector<Region> Regions;
+  /// Resident pages by index; lookup() adds to it, also for const readers.
+  mutable std::unordered_map<uint64_t, std::unique_ptr<Page>> Pages;
   mutable TlbEntry Tlb[TlbSize];
   // I-side entry: base address of the last page fetchDecodedSlow served
   // (executable, side array live) and that array.

@@ -131,6 +131,41 @@ TEST(IntegrityTest, MidRunCodeCorruptionSelfHealsToGoldenOutput) {
   EXPECT_GT(Translator.integrityRetranslationCount(), 0u);
 }
 
+TEST(IntegrityTest, DispatchVerifyHealsCorruptedDirectTarget) {
+  // No scrubber: only dispatch verification can catch the flipped byte.
+  // A direct exit into the corrupted unit must quarantine it, dispatch
+  // into the fresh retranslation (never into raw guest code) and finish
+  // with the fault-free output.
+  AsmProgram Program = assembleRandom(6);
+  DbtConfig Config = assuranceConfig();
+  Config.ScrubInterval = 0;
+  std::string Golden = goldenOutput(Program, Config);
+
+  Memory Mem;
+  Interpreter Interp(Mem);
+  Dbt Translator(Mem, Config);
+  ASSERT_TRUE(Translator.load(Program, Interp.state()));
+  ASSERT_EQ(Translator.run(Interp, 10000000ULL).Kind, StopKind::Halted);
+  ASSERT_GE(Translator.blocks().size(), 2u);
+  // The second unit in translation order was first reached through a
+  // direct exit of the entry unit.
+  const TranslatedBlock &Victim = *std::next(Translator.blocks().begin());
+  ASSERT_NE(Victim.GuestAddr, Translator.guestEntry());
+  uint64_t Addr = Victim.CacheAddr + Victim.CacheSize / 2;
+  uint8_t Byte;
+  Mem.readRaw(Addr, &Byte, 1);
+  Byte ^= 0x10;
+  Mem.writeRaw(Addr, &Byte, 1);
+
+  Interpreter Rerun(Mem);
+  ASSERT_TRUE(Translator.load(Program, Rerun.state()));
+  StopInfo Stop = Translator.run(Rerun, 10000000ULL);
+  ASSERT_EQ(Stop.Kind, StopKind::Halted) << getTrapKindName(Stop.Trap);
+  EXPECT_EQ(Rerun.output(), Golden);
+  EXPECT_GT(Translator.integrityMismatchCount(), 0u);
+  EXPECT_GT(Translator.integrityRetranslationCount(), 0u);
+}
+
 //===----------------------------------------------------------------------===//
 // Metadata hardening
 //===----------------------------------------------------------------------===//

@@ -53,7 +53,74 @@ private:
   unsigned Bit;
 };
 
+/// One-shot transient fault for the demand-zero rollback test: the first
+/// time the `ld r3, [r1+8]` probe executes, points r1 at an unmapped
+/// page so the load traps. Also records the value at \p Addr each time
+/// the program's first load from it is about to run.
+class OneShotLoadTrap : public PreInsnHook {
+public:
+  OneShotLoadTrap(Memory &Mem, uint64_t Addr) : Mem(Mem), Addr(Addr) {}
+  void onInsn(uint64_t, const Instruction &I, CpuState &State) override {
+    if (I.Op != Opcode::Ld)
+      return;
+    if (I.Imm == 0) {
+      uint64_t Value = ~0ULL;
+      Mem.readRaw(Addr, &Value, sizeof(Value));
+      SeenBeforeLoad.push_back(Value);
+    } else if (!Fired) {
+      Fired = true;
+      State.Regs[1] = 0x1000; // Below CodeBase: never mapped.
+    }
+  }
+  std::vector<uint64_t> SeenBeforeLoad;
+
+private:
+  Memory &Mem;
+  uint64_t Addr;
+  bool Fired = false;
+};
+
 } // namespace
+
+TEST(RecoveryTest, PageFirstTouchedAfterCheckpointReadsZeroAfterRollback) {
+  // The program increments a word on a data page the image never
+  // touches, then traps once. The rollback to the entry checkpoint must
+  // restore that page to zeros, so the re-executed increment yields 1.
+  constexpr uint64_t Untouched = DataBase + 0x100000;
+  AsmProgram Program = assembleOk("main:\n"
+                                  "  movi r1, " + std::to_string(Untouched) +
+                                  "\n"
+                                  "  ld r2, [r1]\n"
+                                  "  addi r2, r2, 1\n"
+                                  "  st [r1], r2\n"
+                                  "  ld r3, [r1+8]\n"
+                                  "  out r2\n"
+                                  "  halt\n"
+                                  ".entry main\n");
+  DbtConfig Config;
+  Config.Tech = Technique::EdgCf;
+  uint64_t Golden = goldenHashOf(Program, Config);
+
+  Memory Mem;
+  Interpreter Interp(Mem);
+  Dbt Translator(Mem, Config);
+  ASSERT_TRUE(Translator.load(Program, Interp.state()));
+  ASSERT_TRUE(Mem.isMapped(Untouched));
+  OneShotLoadTrap Trap(Mem, Untouched);
+  Interp.setPreInsnHook(&Trap);
+  RecoveryConfig RC;
+  RC.CheckpointInterval = 1000000; // Only the entry checkpoint.
+  RecoveryManager Manager(Interp, Translator, RC);
+  RecoveryReport Report = Manager.run(10000000);
+
+  EXPECT_TRUE(Report.Completed);
+  EXPECT_EQ(Report.NumRollbacks, 1u);
+  EXPECT_EQ(Trap.SeenBeforeLoad, (std::vector<uint64_t>{0, 0}));
+  uint64_t Final = 0;
+  Mem.readRaw(Untouched, &Final, sizeof(Final));
+  EXPECT_EQ(Final, 1u);
+  EXPECT_EQ(hashOutput(Interp.output()), Golden);
+}
 
 TEST(RecoveryTest, CleanRunTakesCheckpointsWithoutRollbacks) {
   AsmProgram Program = randomProgram(5);
@@ -248,11 +315,43 @@ TEST(RecoveryTest, DegradedTranslatorUsesConservativeConfig) {
   EXPECT_FALSE(Translator.config().FoldSignatureUpdates);
   EXPECT_EQ(Translator.degradeCount(), 1u);
   // The flush dropped all safe points; retranslation repopulates them.
-  EXPECT_TRUE(Translator.safePoints().empty());
+  EXPECT_EQ(Translator.safePointCount(), 0u);
   Interp.state().PC = Translator.resolveGuestTarget(Translator.guestEntry());
   StopInfo Stop = Translator.run(Interp, 10000000);
   EXPECT_EQ(Stop.Kind, StopKind::Halted);
-  EXPECT_FALSE(Translator.safePoints().empty());
+  EXPECT_GT(Translator.safePointCount(), 0u);
+}
+
+TEST(RecoveryTest, QuarantineDropsSafePointsOfEvictedUnit) {
+  AsmProgram Program = randomProgram(5);
+  DbtConfig Config;
+  Config.Tech = Technique::EdgCf;
+  Memory Mem;
+  Interpreter Interp(Mem);
+  Dbt Translator(Mem, Config);
+  ASSERT_TRUE(Translator.load(Program, Interp.state()));
+  ASSERT_EQ(Translator.run(Interp, 10000000).Kind, StopKind::Halted);
+
+  const TranslatedBlock &Victim = *Translator.blocks().begin();
+  uint64_t Guest = Victim.GuestAddr;
+  uint64_t OldCache = Victim.CacheAddr;
+  const SafePointInfo *SP = Translator.safePointAt(OldCache);
+  ASSERT_NE(SP, nullptr);
+  EXPECT_EQ(SP->GuestAddr, Guest);
+  // Only sub-block entries are safe points: not a misaligned address,
+  // not a guest address.
+  EXPECT_EQ(Translator.safePointAt(OldCache + 4), nullptr);
+  EXPECT_EQ(Translator.safePointAt(Guest), nullptr);
+
+  ASSERT_TRUE(Translator.quarantineGuestBlock(Guest));
+  // The evicted unit's bytes stay in the cache but are no longer a
+  // re-entry point; the retranslation registers its own.
+  EXPECT_EQ(Translator.safePointAt(OldCache), nullptr);
+  const TranslatedBlock *Fresh = Translator.blocks().find(Guest);
+  ASSERT_NE(Fresh, nullptr);
+  ASSERT_NE(Fresh->CacheAddr, OldCache);
+  ASSERT_NE(Translator.safePointAt(Fresh->CacheAddr), nullptr);
+  EXPECT_EQ(Translator.safePointAt(Fresh->CacheAddr)->GuestAddr, Guest);
 }
 
 TEST(RecoveryTest, EagerWholeProgramTechniqueRecoversAfterDegrade) {

@@ -1325,3 +1325,69 @@ telemetry::PostMortem Dbt::buildPostMortem(const char *Reason,
   }
   return PM;
 }
+
+//===----------------------------------------------------------------------===//
+// Snapshots (DESIGN.md §12).
+//===----------------------------------------------------------------------===//
+
+Dbt::Snapshot Dbt::capture() const {
+  Snapshot S;
+  S.Config = Config;
+  S.BlockMap = BlockMap;
+  S.SafePoints = SafePoints;
+  S.NumSafePoints = NumSafePoints;
+  S.NumCheckSites = NumCheckSites;
+  S.Retired = Retired;
+  S.Patches = Patches;
+  S.CacheAlloc = CacheAlloc;
+  for (uint32_t Slot = 0; Slot < IbtcSlots; ++Slot)
+    if (Ibtc[Slot].Guest != ~0ULL)
+      S.Ibtc.emplace_back(Slot, Ibtc[Slot]);
+  S.CodePagesWritable = CodePagesWritable;
+  S.DispatchesSinceScrub = DispatchesSinceScrub;
+  S.Counters = Metrics->snapshot().Counters;
+  if (OwnedProfile)
+    S.Profile = OwnedProfile->clone();
+  return S;
+}
+
+void Dbt::restore(const Snapshot &S) {
+  Config = S.Config;
+  // Self-modification turns eager translation off for good and drops
+  // the leader set; nothing else changes it after load().
+  if (!Config.EagerTranslate)
+    EagerLeaders.clear();
+  BlockMap = S.BlockMap;
+  SafePoints = S.SafePoints;
+  NumSafePoints = S.NumSafePoints;
+  NumCheckSites = S.NumCheckSites;
+  Retired = S.Retired;
+  Patches = S.Patches;
+  CacheAlloc = S.CacheAlloc;
+  Ibtc.fill(IbtcEntry{});
+  for (const auto &[Slot, Entry] : S.Ibtc)
+    Ibtc[Slot] = Entry;
+  CodePagesWritable = S.CodePagesWritable;
+  DispatchesSinceScrub = S.DispatchesSinceScrub;
+  Metrics->restoreCounters(S.Counters);
+  if (OwnedProfile && S.Profile) {
+    OwnedProfile = S.Profile->clone();
+    Profile = OwnedProfile.get();
+  }
+}
+
+size_t Dbt::Snapshot::bytes() const {
+  // Less the block table's index.
+  size_t Bytes = SafePoints.size() * sizeof(SafePointInfo) +
+                 Patches.size() * sizeof(ChainPatch) +
+                 Ibtc.size() * sizeof(Ibtc[0]);
+  for (const TranslatedBlock &TB : BlockMap)
+    Bytes += sizeof(TB) + TB.InstrRanges.size() * sizeof(TB.InstrRanges[0]);
+  for (const RetiredRange &RR : Retired)
+    Bytes += sizeof(RR) + RR.InstrRanges.size() * sizeof(RR.InstrRanges[0]);
+  for (const auto &[Name, Value] : Counters)
+    Bytes += sizeof(Value) + Name.size();
+  if (Profile)
+    Bytes += Profile->bytes();
+  return Bytes;
+}

@@ -454,6 +454,24 @@ public:
 
   const DbtConfig &config() const { return Config; }
 
+  /// The translator's dynamic state at an instruction boundary (defined
+  /// below): what a translator freshly loaded from the same program and
+  /// configuration needs, besides memory and CPU state, to resume a run
+  /// from there.
+  class Snapshot;
+
+  /// Captures the translation layout (block table, safe points, retired
+  /// ranges, chain patches, cache allocation point, and the config,
+  /// which self-modification may change), the occupied IBTC entries, the
+  /// write-protection and scrub-cadence state, the registry counter
+  /// values and, on the opt tier, the owned block profile.
+  Snapshot capture() const;
+
+  /// Restores \p S into this translator, which must have been loaded
+  /// from the program and configuration \p S was captured under.
+  /// Attached tracers, recorders and profilers are kept.
+  void restore(const Snapshot &S);
+
 private:
   struct ChainPatch {
     uint64_t SiteAddr;
@@ -607,6 +625,31 @@ private:
   const Interpreter *ClockSource = nullptr;
   /// Leaders from the assembler side table (eager mode).
   std::vector<uint64_t> EagerLeaders;
+};
+
+/// See Dbt::capture().
+class Dbt::Snapshot {
+public:
+  /// Approximate heap bytes held.
+  size_t bytes() const;
+
+private:
+  friend class Dbt;
+  DbtConfig Config;
+  BlockTable<TranslatedBlock> BlockMap;
+  std::vector<SafePointInfo> SafePoints;
+  uint64_t NumSafePoints = 0;
+  uint64_t NumCheckSites = 0;
+  std::vector<RetiredRange> Retired;
+  std::vector<ChainPatch> Patches;
+  uint64_t CacheAlloc = 0;
+  /// Occupied IBTC entries by slot.
+  std::vector<std::pair<uint32_t, IbtcEntry>> Ibtc;
+  bool CodePagesWritable = false;
+  uint64_t DispatchesSinceScrub = 0;
+  std::vector<std::pair<std::string, uint64_t>> Counters;
+  /// The owned opt-tier profile (null on the base tier).
+  std::shared_ptr<const telemetry::BlockProfile> Profile;
 };
 
 } // namespace cfed

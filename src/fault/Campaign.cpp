@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <array>
 #include <set>
+#include <unordered_set>
 
 using namespace cfed;
 
@@ -200,13 +201,27 @@ struct FaultCampaign::Instance {
   /// \p Digests must be attached before load(): eager configurations
   /// translate at load time, and the Digest markers must be in the
   /// cache from the first translation so every run of the campaign
-  /// shares one layout.
+  /// shares one layout. With \p Start the instance resumes there; a
+  /// freshly loaded instance already is in the reset state.
   Instance(const AsmProgram &Program, const DbtConfig &Config,
-           telemetry::DigestRecorder *Digests = nullptr)
+           telemetry::DigestRecorder *Digests = nullptr,
+           const GoldenSnapshot *Start = nullptr)
       : Translator(Mem, Config), Interp(Mem) {
     if (Digests)
       Translator.setDigestRecorder(Digests);
     Ok = Translator.load(Program, Interp.state());
+    if (Ok && Start && Start->Point.Insns) {
+      Mem.restore(Start->Mem);
+      Interp.restore(Start->Cpu);
+      Translator.restore(Start->Translator);
+    }
+  }
+
+  GoldenSnapshot capture(const GoldenSnapshot *Prev) const {
+    return {{Interp.instructionCount(), {}},
+            Mem.capture(Prev ? &Prev->Mem : nullptr),
+            Interp.capture(),
+            Translator.capture()};
   }
 };
 
@@ -282,38 +297,44 @@ public:
   }
 };
 
+/// True when \p SiteAddr is in class \p Sites under the site
+/// classification \p InstrMap.
+bool matchesClass(const std::unordered_map<uint64_t, bool> &InstrMap,
+                  uint64_t SiteAddr, SiteClass Sites) {
+  if (Sites == SiteClass::Any)
+    return true;
+  auto It = InstrMap.find(SiteAddr);
+  bool IsInstr = It != InstrMap.end() && It->second;
+  return Sites == SiteClass::InstrumentationOnly ? IsInstr : !IsInstr;
+}
+
 /// Base for hooks that index dynamic branch executions within a site
 /// class.
 class ClassCountingHook : public FaultHook {
 public:
-  ClassCountingHook(const FaultCampaign &Campaign, SiteClass Sites,
-                    const std::unordered_map<uint64_t, bool> &InstrMap)
-      : Sites(Sites), InstrMap(InstrMap) {
-    (void)Campaign;
-  }
+  ClassCountingHook(SiteClass Sites,
+                    const std::unordered_map<uint64_t, bool> &InstrMap,
+                    uint64_t Counter = 0)
+      : Sites(Sites), InstrMap(InstrMap), Counter(Counter) {}
 
 protected:
   bool matches(uint64_t SiteAddr) const {
-    if (Sites == SiteClass::Any)
-      return true;
-    auto It = InstrMap.find(SiteAddr);
-    bool IsInstr = It != InstrMap.end() && It->second;
-    return Sites == SiteClass::InstrumentationOnly ? IsInstr : !IsInstr;
+    return matchesClass(InstrMap, SiteAddr, Sites);
   }
 
   SiteClass Sites;
   const std::unordered_map<uint64_t, bool> &InstrMap;
-  uint64_t Counter = 0;
+  uint64_t Counter;
 };
 
 /// Planning hook: at each selected instance, records the analytic
 /// category for the pre-drawn fault.
 class PlanningHook : public ClassCountingHook {
 public:
-  PlanningHook(const FaultCampaign &Campaign, SiteClass Sites,
+  PlanningHook(SiteClass Sites,
                const std::unordered_map<uint64_t, bool> &InstrMap,
                const Dbt &Translator, std::vector<PlannedFault> &Faults)
-      : ClassCountingHook(Campaign, Sites, InstrMap), Translator(Translator),
+      : ClassCountingHook(Sites, InstrMap), Translator(Translator),
         Faults(Faults) {}
 
   void apply(uint64_t InsnAddr, Instruction &I, Flags &F,
@@ -325,8 +346,8 @@ public:
       PlannedFault &Fault = Faults[Next];
       Fault.Category = categorize(Translator, InsnAddr, I, F, State,
                                   Fault.Kind, Fault.Mask);
-      auto It = InstrMap.find(InsnAddr);
-      Fault.InstrSite = It != InstrMap.end() && It->second;
+      Fault.InstrSite =
+          matchesClass(InstrMap, InsnAddr, SiteClass::InstrumentationOnly);
       Fault.SiteAddr = InsnAddr;
       ++Next;
     }
@@ -338,13 +359,14 @@ private:
   size_t Next = 0;
 };
 
-/// Injection hook: applies the fault at the chosen instance.
+/// Injection hook: applies the fault at the chosen instance. A run
+/// resumed at a snapshot starts counting at the snapshot's branch count.
 class InjectionHook : public ClassCountingHook {
 public:
-  InjectionHook(const FaultCampaign &Campaign, SiteClass Sites,
-                const std::unordered_map<uint64_t, bool> &InstrMap,
-                const PlannedFault &Fault, const Interpreter &Interp)
-      : ClassCountingHook(Campaign, Sites, InstrMap), Fault(Fault),
+  InjectionHook(const std::unordered_map<uint64_t, bool> &InstrMap,
+                const PlannedFault &Fault, const Interpreter &Interp,
+                uint64_t StartCount)
+      : ClassCountingHook(Fault.Class, InstrMap, StartCount), Fault(Fault),
         Interp(Interp) {}
 
   bool Fired = false;
@@ -376,13 +398,19 @@ private:
 FaultCampaign::FaultCampaign(const AsmProgram &Program, DbtConfig Config)
     : Program(Program), Config(Config) {}
 
-bool FaultCampaign::matchesClass(uint64_t SiteAddr, SiteClass Class) const {
-  if (Class == SiteClass::Any)
-    return true;
-  auto It = Sites.find(SiteAddr);
-  bool IsInstr = It != Sites.end() && It->second.IsInstr;
-  return Class == SiteClass::InstrumentationOnly ? IsInstr : !IsInstr;
+namespace {
+
+/// Start of the golden run's snapshot spacing, in retired instructions.
+constexpr uint64_t FirstSnapshotSpacing = 1024;
+
+/// Keeps elements 0, 2, 4, ... of \p V.
+template <typename T> void keepEveryOther(std::vector<T> &V) {
+  for (size_t I = 1; 2 * I < V.size(); ++I)
+    V[I] = std::move(V[2 * I]);
+  V.resize((V.size() + 1) / 2);
 }
+
+} // namespace
 
 bool FaultCampaign::prepare(uint64_t MaxInsns) {
   telemetry::DigestRecorder Digests;
@@ -391,7 +419,36 @@ bool FaultCampaign::prepare(uint64_t MaxInsns) {
     return false;
   CountingHook Hook;
   Ref.Interp.setFaultHook(&Hook);
-  StopInfo Stop = Ref.Translator.run(Ref.Interp, MaxInsns);
+
+  // The golden run in budget slices, with a snapshot at every multiple
+  // of Spacing. When a snapshot would overflow the list, every other
+  // one is dropped and the spacing doubles, so the snapshots stay evenly
+  // spread over a run of any length. Snapshot 0 is the reset state,
+  // which holds nothing: every instance is loaded there. Sites can only
+  // be classified once the run is over, so each snapshot keeps its
+  // per-site branch counts until then.
+  Snapshots.assign(1, GoldenSnapshot{});
+  std::vector<std::vector<std::pair<uint64_t, uint64_t>>> SiteCounts(1);
+  auto Take = [&] {
+    Snapshots.push_back(
+        Ref.capture(Snapshots.size() > 1 ? &Snapshots.back() : nullptr));
+    SiteCounts.emplace_back(Hook.PerSite.begin(), Hook.PerSite.end());
+  };
+  uint64_t Spacing = FirstSnapshotSpacing;
+  StopInfo Stop;
+  for (;;) {
+    uint64_t Done = Ref.Interp.instructionCount();
+    uint64_t Next = std::min(MaxInsns, Done - Done % Spacing + Spacing);
+    Stop = Ref.Translator.run(Ref.Interp, Next - Done);
+    if (Stop.Kind != StopKind::InsnLimit || Next == MaxInsns)
+      break;
+    if (Snapshots.size() == MaxSnapshots) {
+      keepEveryOther(Snapshots);
+      keepEveryOther(SiteCounts);
+      Spacing *= 2;
+    }
+    Take();
+  }
   if (Stop.Kind != StopKind::Halted)
     return false;
   GoldenInsns = Ref.Interp.instructionCount();
@@ -406,36 +463,57 @@ bool FaultCampaign::prepare(uint64_t MaxInsns) {
     Golden.ConfigFp = GoldenInsns;
   }
 
-  Sites.clear();
   InstrMap.clear();
-  for (const BranchSiteInfo &Site : Ref.Translator.enumerateBranchSites()) {
-    Sites[Site.CacheAddr].IsInstr = Site.IsInstrumentation;
+  for (const BranchSiteInfo &Site : Ref.Translator.enumerateBranchSites())
     InstrMap[Site.CacheAddr] = Site.IsInstrumentation;
-  }
 
-  ExecAll = ExecInstr = ExecOrig = 0;
-  for (const auto &[Addr, Count] : Hook.PerSite) {
-    ExecAll += Count;
-    auto It = Sites.find(Addr);
-    if (It != Sites.end() && It->second.IsInstr)
-      ExecInstr += Count;
-    else
-      ExecOrig += Count;
-  }
+  auto Fold = [&](const auto &PerSite) {
+    std::array<uint64_t, 3> Counts = {};
+    for (const auto &[Addr, Count] : PerSite) {
+      SiteClass Class =
+          matchesClass(InstrMap, Addr, SiteClass::InstrumentationOnly)
+              ? SiteClass::InstrumentationOnly
+              : SiteClass::OriginalOnly;
+      Counts[static_cast<size_t>(SiteClass::Any)] += Count;
+      Counts[static_cast<size_t>(Class)] += Count;
+    }
+    return Counts;
+  };
+  for (size_t K = 0; K < Snapshots.size(); ++K)
+    Snapshots[K].Point.Branches = Fold(SiteCounts[K]);
+  Executions = Fold(Hook.PerSite);
   Prepared = true;
   return true;
 }
 
-uint64_t FaultCampaign::branchExecutions(SiteClass Class) const {
-  switch (Class) {
-  case SiteClass::Any:
-    return ExecAll;
-  case SiteClass::OriginalOnly:
-    return ExecOrig;
-  case SiteClass::InstrumentationOnly:
-    return ExecInstr;
-  }
-  cfed_unreachable("covered switch");
+std::vector<FaultCampaign::SnapshotPoint>
+FaultCampaign::snapshotPoints() const {
+  std::vector<SnapshotPoint> Points;
+  for (const GoldenSnapshot &S : Snapshots)
+    Points.push_back(S.Point);
+  return Points;
+}
+
+size_t FaultCampaign::snapshotBytes() const {
+  std::unordered_set<const void *> Seen;
+  size_t Bytes = 0;
+  for (const GoldenSnapshot &S : Snapshots)
+    if (S.Point.Insns)
+      Bytes += sizeof(S) + S.Mem.bytes(Seen) + S.Cpu.Output.size() +
+               S.Translator.bytes();
+  return Bytes;
+}
+
+const FaultCampaign::GoldenSnapshot &
+FaultCampaign::snapshotBefore(const PlannedFault &Fault) const {
+  size_t Class = static_cast<size_t>(Fault.Class);
+  // Branch counts never decrease along the run, and snapshot 0's are
+  // zero while instances count from 1.
+  auto It = std::partition_point(
+      Snapshots.begin() + 1, Snapshots.end(), [&](const GoldenSnapshot &S) {
+        return S.Point.Branches[Class] < Fault.Instance;
+      });
+  return *(It - 1);
 }
 
 std::vector<PlannedFault> FaultCampaign::plan(uint64_t NumCandidates,
@@ -484,7 +562,7 @@ std::vector<PlannedFault> FaultCampaign::plan(uint64_t NumCandidates,
   Instance Planner(Program, Config, PropEnabled ? &Digests : nullptr);
   if (!Planner.Ok)
     reportFatalError("planning instance failed to load after prepare()");
-  PlanningHook Hook(*this, Class, InstrMap, Planner.Translator, Faults);
+  PlanningHook Hook(Class, InstrMap, Planner.Translator, Faults);
   Planner.Interp.setFaultHook(&Hook);
   Planner.Translator.run(Planner.Interp, InsnBudget);
   return Faults;
@@ -530,18 +608,25 @@ InjectionReport
 FaultCampaign::injectDetailed(const PlannedFault &Fault,
                               telemetry::FlightRecorder *Recorder) const {
   assert(Prepared && "call prepare() first");
+  // A bundle carries the run's last trace events and the propagation
+  // digest stream starts at reset: both need the run from the start.
+  const GoldenSnapshot &Start = Recorder || PropEnabled
+                                    ? Snapshots.front()
+                                    : snapshotBefore(Fault);
   telemetry::DigestRecorder Digests;
-  Instance Run(Program, Config, PropEnabled ? &Digests : nullptr);
+  Instance Run(Program, Config, PropEnabled ? &Digests : nullptr, &Start);
   if (!Run.Ok)
     reportFatalError("injection instance failed to load after prepare()");
-  InjectionHook Hook(*this, Fault.Class, InstrMap, Fault, Run.Interp);
+  InjectionHook Hook(InstrMap, Fault, Run.Interp,
+                     Start.Point.Branches[static_cast<size_t>(Fault.Class)]);
   Run.Interp.setFaultHook(&Hook);
   std::unique_ptr<telemetry::EventTracer> Tracer;
   if (Recorder) {
     Tracer = std::make_unique<telemetry::EventTracer>(Recorder->maxEvents());
     Run.Translator.setTracer(Tracer.get());
   }
-  StopInfo Stop = Run.Translator.run(Run.Interp, InsnBudget);
+  StopInfo Stop =
+      Run.Translator.run(Run.Interp, InsnBudget - Start.Point.Insns);
 
   InjectionReport Report;
   Report.Fired = Hook.Fired;
@@ -589,12 +674,15 @@ FaultCampaign::injectWithRecovery(const PlannedFault &Fault,
                                   telemetry::FlightRecorder *Recorder) const {
   assert(Prepared && "call prepare() first");
   // Recovery campaigns do not track propagation, but the layout must
-  // still match prepare()'s when the campaign is prop-enabled.
+  // still match prepare()'s when the campaign is prop-enabled. The run
+  // starts at reset: the checkpoint schedule counts from the run start.
+  const GoldenSnapshot &Start = Snapshots.front();
   telemetry::DigestRecorder Digests;
-  Instance Run(Program, Config, PropEnabled ? &Digests : nullptr);
+  Instance Run(Program, Config, PropEnabled ? &Digests : nullptr, &Start);
   if (!Run.Ok)
     reportFatalError("injection instance failed to load after prepare()");
-  InjectionHook Hook(*this, Fault.Class, InstrMap, Fault, Run.Interp);
+  InjectionHook Hook(InstrMap, Fault, Run.Interp,
+                     Start.Point.Branches[static_cast<size_t>(Fault.Class)]);
   Run.Interp.setFaultHook(&Hook);
   std::unique_ptr<telemetry::EventTracer> Tracer;
   if (Recorder) {

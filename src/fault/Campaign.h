@@ -15,12 +15,14 @@
 ///  1. prepare(): a golden run records the reference output hash, the
 ///     instruction budget, the stabilized code-cache layout and the
 ///     per-site dynamic branch execution counts (translation is
-///     deterministic, so later runs reproduce the same cache layout).
+///     deterministic, so later runs reproduce the same cache layout),
+///     and keeps up to MaxSnapshots snapshots of the run.
 ///  2. plan():    a planning run picks random dynamic branch instances
 ///     and one single-bit fault each (32 offset bits + 4 flag bits, as
 ///     in Section 2's model) and classifies each candidate's branch-error
 ///     category analytically, enabling stratified per-category sampling.
-///  3. inject():  one fresh run per planned fault; the outcome is
+///  3. inject():  one run per planned fault, resumed at the last golden
+///     snapshot before the fault fires (DESIGN.md §12); the outcome is
 ///     classified as detected-by-signature (the instrumentation's
 ///     .report_error, or ECCA's div-by-zero inside instrumentation),
 ///     detected-by-hardware (memory protection / illegal instruction —
@@ -237,9 +239,10 @@ public:
   Outcome inject(const PlannedFault &Fault) const;
 
   /// Like inject(), additionally reporting detection latency. With a
-  /// \p Recorder the run is traced and one post-mortem bundle (reason
-  /// "campaign-injection", annotated with the fault parameters and the
-  /// outcome) is written per injection. Recorder use is serial-only.
+  /// \p Recorder the run is traced from reset and one post-mortem bundle
+  /// (reason "campaign-injection", annotated with the fault parameters
+  /// and the outcome) is written per injection. Recorder use is
+  /// serial-only.
   InjectionReport
   injectDetailed(const PlannedFault &Fault,
                  telemetry::FlightRecorder *Recorder = nullptr) const;
@@ -281,7 +284,27 @@ public:
   uint64_t goldenInsns() const { return GoldenInsns; }
   uint64_t goldenHash() const { return GoldenHash; }
   /// Dynamic branch executions in the golden run for \p Sites.
-  uint64_t branchExecutions(SiteClass Sites) const;
+  uint64_t branchExecutions(SiteClass Sites) const {
+    return Executions[static_cast<size_t>(Sites)];
+  }
+
+  /// Golden-run snapshots kept by prepare() (DESIGN.md §12): at most
+  /// this many, the reset state first, then one at every multiple of a
+  /// spacing that doubles whenever the list would overflow.
+  static constexpr size_t MaxSnapshots = 32;
+  /// Where one snapshot was taken.
+  struct SnapshotPoint {
+    /// Instructions retired before the snapshot.
+    uint64_t Insns = 0;
+    /// Branch executions before the snapshot, per SiteClass (indexed by
+    /// its value).
+    std::array<uint64_t, 3> Branches = {};
+  };
+  /// The snapshots' points, in run order.
+  std::vector<SnapshotPoint> snapshotPoints() const;
+  /// Approximate bytes the snapshots hold, counting shared page copies
+  /// once.
+  size_t snapshotBytes() const;
 
   /// Cumulative outcome telemetry across every run()/runWithRecovery()
   /// call on this campaign: "fault.cat_<category>.<outcome>" counters
@@ -291,14 +314,21 @@ public:
   const telemetry::MetricsRegistry &metrics() const { return Metrics; }
 
 private:
-  struct SiteInfo {
-    bool IsInstr = false;
+  /// A fresh memory/translator/interpreter trio with the program loaded,
+  /// optionally resumed at a golden snapshot.
+  struct Instance;
+
+  /// The golden run's state at one point.
+  struct GoldenSnapshot {
+    SnapshotPoint Point;
+    Memory::Snapshot Mem;
+    Interpreter::Snapshot Cpu;
+    Dbt::Snapshot Translator;
   };
 
-  /// Creates a fresh memory/translator/interpreter trio and loads the
-  /// program; aborts on load failure (prepare() validated it).
-  struct Instance;
-  bool matchesClass(uint64_t SiteAddr, SiteClass Sites) const;
+  /// The snapshot an injection of \p Fault starts from: the last one
+  /// taken before the fault's instance executed.
+  const GoldenSnapshot &snapshotBefore(const PlannedFault &Fault) const;
 
   /// Tallies one run's outcome slots into a fresh registry, folds it
   /// into Metrics, and returns the result rebuilt from the snapshot.
@@ -316,11 +346,12 @@ private:
   uint64_t GoldenInsns = 0;
   uint64_t GoldenHash = 0;
   uint64_t InsnBudget = 0;
-  std::unordered_map<uint64_t, SiteInfo> Sites;
-  /// Site → is-instrumentation, in the shape the per-run hooks consume.
-  /// Built once in prepare() instead of per injection.
+  /// Site → is-instrumentation, from the golden run's translations.
+  /// Sites missing here classify as original code.
   std::unordered_map<uint64_t, bool> InstrMap;
-  uint64_t ExecAll = 0, ExecInstr = 0, ExecOrig = 0;
+  /// Golden branch executions per SiteClass.
+  std::array<uint64_t, 3> Executions = {};
+  std::vector<GoldenSnapshot> Snapshots;
   bool Prepared = false;
   bool PropEnabled = false;
   telemetry::GoldenTrace Golden;

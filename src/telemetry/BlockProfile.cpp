@@ -180,3 +180,20 @@ void BlockProfile::reset() {
   for (std::unique_ptr<Chunk> &C : Chunks)
     *C = Chunk{};
 }
+
+std::unique_ptr<BlockProfile> BlockProfile::clone() const {
+  auto Copy = std::make_unique<BlockProfile>();
+  for (const std::unique_ptr<Chunk> &C : Chunks)
+    Copy->Chunks.push_back(std::make_unique<Chunk>(*C));
+  Copy->NumSlots = NumSlots;
+  Copy->HotThreshold = HotThreshold;
+  Copy->Blocks = Blocks;
+  Copy->EdgeSlots = EdgeSlots;
+  return Copy;
+}
+
+size_t BlockProfile::bytes() const {
+  return Chunks.size() * sizeof(Chunk) +
+         Blocks.size() * (sizeof(uint64_t) + sizeof(BlockInfo)) +
+         EdgeSlots.size() * (2 * sizeof(uint64_t) + sizeof(uint32_t));
+}

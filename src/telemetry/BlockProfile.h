@@ -130,6 +130,11 @@ public:
   /// Zeroes all counters; slot assignments and metadata survive.
   void reset();
 
+  /// A deep copy: slot assignments, metadata, counts and threshold.
+  std::unique_ptr<BlockProfile> clone() const;
+  /// Approximate bytes held (counter chunks and per-block metadata).
+  size_t bytes() const;
+
 private:
   static constexpr size_t ChunkSize = 4096;
   struct Chunk {

@@ -379,6 +379,19 @@ void MetricsRegistry::reset() {
     H->reset();
 }
 
+void MetricsRegistry::restoreCounters(
+    const std::vector<std::pair<std::string, uint64_t>> &Values) {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  for (auto &[Name, C] : Counters)
+    C->reset();
+  for (const auto &[Name, Value] : Values) {
+    std::unique_ptr<Counter> &C = Counters[Name];
+    if (!C)
+      C = std::make_unique<Counter>();
+    C->inc(Value);
+  }
+}
+
 void MetricsRegistry::merge(const RegistrySnapshot &Delta) {
   for (const auto &[Name, Value] : Delta.Counters)
     counter(Name).inc(Value);

@@ -160,6 +160,12 @@ public:
   RegistrySnapshot snapshot() const;
   /// Zeroes every instrument (instruments stay registered).
   void reset();
+  /// Sets every counter to its value in \p Values (RegistrySnapshot's
+  /// Counters shape), creating the ones not registered yet; counters
+  /// \p Values does not name read zero. Gauges and histograms are left
+  /// alone.
+  void restoreCounters(
+      const std::vector<std::pair<std::string, uint64_t>> &Values);
   /// Folds a snapshot in: counters and histograms add, gauges take the
   /// incoming value. Used to merge per-run tallies into campaign-level
   /// cumulative metrics.

@@ -223,6 +223,23 @@ public:
   void restoreProgress(uint64_t NewInsns, uint64_t NewCycles,
                        size_t OutputLen);
 
+  /// Architectural state plus progress: what run() needs to resume at an
+  /// instruction boundary. Memory is captured separately.
+  struct Snapshot {
+    CpuState State;
+    uint64_t Insns = 0;
+    uint64_t Cycles = 0;
+    std::string Output;
+  };
+  Snapshot capture() const { return {State, Insns, Cycles, OutputBuffer}; }
+  /// Restores \p S. Installed hooks and bindings are kept.
+  void restore(const Snapshot &S) {
+    State = S.State;
+    Insns = S.Insns;
+    Cycles = S.Cycles;
+    OutputBuffer = S.Output;
+  }
+
   /// Publishes the per-instruction counters (instructions, cycles, and
   /// the memory predecode-cache hit statistics) into \p Registry as
   /// gauges. The hot dispatch loop keeps plain fields and publishes only

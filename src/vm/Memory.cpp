@@ -252,3 +252,56 @@ void Memory::readRaw(uint64_t Addr, void *Out, uint64_t Size) const {
     reportFatalErrorf("readRaw from unmapped address 0x%llx",
                       static_cast<unsigned long long>(Addr));
 }
+
+size_t Memory::Snapshot::bytes(std::unordered_set<const void *> &Seen) const {
+  size_t Bytes = Regions.size() * sizeof(Region);
+  for (const auto &[Index, Copy] : Pages)
+    if (Seen.insert(Copy.get()).second)
+      Bytes += sizeof(PageBytes);
+  return Bytes;
+}
+
+Memory::Snapshot Memory::capture(const Snapshot *Prev) const {
+  std::vector<std::pair<uint64_t, const Page *>> Resident;
+  Resident.reserve(Pages.size());
+  for (const auto &[Index, P] : Pages)
+    Resident.emplace_back(Index, P.get());
+  std::sort(Resident.begin(), Resident.end());
+  Snapshot S;
+  S.Regions = Regions;
+  S.Pages.reserve(Resident.size());
+  // Both page lists are sorted: one merge walk finds each page's copy in
+  // the previous snapshot.
+  size_t Old = 0;
+  for (const auto &[Index, P] : Resident) {
+    if (Prev) {
+      while (Old < Prev->Pages.size() && Prev->Pages[Old].first < Index)
+        ++Old;
+      if (Old < Prev->Pages.size() && Prev->Pages[Old].first == Index &&
+          std::memcmp(Prev->Pages[Old].second->data(), P->Bytes,
+                      PageSize) == 0) {
+        S.Pages.emplace_back(Index, Prev->Pages[Old].second);
+        continue;
+      }
+    }
+    auto Copy = std::make_shared<PageBytes>();
+    std::memcpy(Copy->data(), P->Bytes, PageSize);
+    S.Pages.emplace_back(Index, std::move(Copy));
+  }
+  return S;
+}
+
+void Memory::restore(const Snapshot &S) {
+  Regions = S.Regions;
+  Pages.clear();
+  for (const auto &[Index, Copy] : S.Pages) {
+    auto P = std::make_unique<Page>();
+    P->Perms = regionOf(Index)->Perms;
+    std::memcpy(P->Bytes, Copy->data(), PageSize);
+    Pages.emplace(Index, std::move(P));
+  }
+  for (TlbEntry &E : Tlb)
+    E = TlbEntry{};
+  dropICache();
+  ++WriteEpoch;
+}

@@ -42,10 +42,12 @@
 #include "isa/Isa.h"
 #include "vm/Layout.h"
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 namespace cfed {
@@ -182,6 +184,25 @@ public:
 
   /// Number of pages with allocated storage (touched since mapping).
   size_t residentPageCount() const { return Pages.size(); }
+  /// Number of entries in the region list (mapped ranges after adjacent
+  /// equal-permission ranges coalesce).
+  size_t regionCount() const { return Regions.size(); }
+
+  using PageBytes = std::array<uint8_t, PageSize>;
+
+  /// A copy of the guest-visible memory state (defined below).
+  class Snapshot;
+
+  /// Captures the region list and resident page bytes. A page whose bytes
+  /// equal its copy in \p Prev shares that copy instead of making a new
+  /// one. Predecoded side arrays are not captured.
+  Snapshot capture(const Snapshot *Prev = nullptr) const;
+
+  /// Replaces the mapped ranges and every resident page with \p S's.
+  /// Pages resident here but not in \p S are dropped (they read zero
+  /// again at their next touch), side arrays are rebuilt lazily at the
+  /// next fetch, and a new write epoch starts.
+  void restore(const Snapshot &S);
 
 private:
   /// Predecoded view of one executable page: Insns[Slot] caches
@@ -304,6 +325,23 @@ private:
   uint64_t PredecodeHits = 0;
   uint64_t PredecodeDecodes = 0;
   uint64_t PredecodeSlow = 0;
+};
+
+/// A copy of the guest-visible memory state: the region list and the
+/// bytes of every resident page, by page index. Page copies are
+/// immutable, so snapshots share them, and several threads may restore
+/// one snapshot at once.
+class Memory::Snapshot {
+public:
+  /// Heap bytes of the region list and of the page copies not in \p Seen,
+  /// which collects the copies counted so far (shared copies count once
+  /// across snapshots).
+  size_t bytes(std::unordered_set<const void *> &Seen) const;
+
+private:
+  friend class Memory;
+  std::vector<Region> Regions;
+  std::vector<std::pair<uint64_t, std::shared_ptr<const PageBytes>>> Pages;
 };
 
 } // namespace cfed

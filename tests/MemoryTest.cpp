@@ -1,10 +1,12 @@
 //===- MemoryTest.cpp - Unit tests for paged memory and the loader -------------===//
 
 #include "asm/Assembler.h"
+#include "dbt/Dbt.h"
 #include "vm/Interp.h"
 #include "vm/Layout.h"
 #include "vm/Loader.h"
 #include "vm/Memory.h"
+#include "workloads/RandomProgram.h"
 #include "workloads/Workloads.h"
 
 #include <algorithm>
@@ -834,5 +836,38 @@ TEST(LoaderTest, ResidentSetStaysFarBelowMappedSize) {
   // The slack absorbs workload edits, not a return to eager mapping.
   constexpr size_t MeasuredAfterRun = 9, Slack = 16;
   EXPECT_LE(Mem.residentPageCount(), MeasuredAfterRun + Slack);
+}
+
+TEST(LoaderTest, TranslatedRunKeepsRegionListShort) {
+  // Each translation maps its own page-rounded code-cache range, which
+  // partly overlaps the cache's region once the cache spans several
+  // pages. Equal-permission neighbours must coalesce, or the region list
+  // (which every golden-run snapshot copies) grows with the cache.
+  auto RunTranslated = [](const AsmProgram &Program, uint64_t &CachePages) {
+    DbtConfig Config;
+    Config.Tech = Technique::EdgCf;
+    Memory Mem;
+    Dbt Translator(Mem, Config);
+    Interpreter Interp(Mem);
+    EXPECT_TRUE(Translator.load(Program, Interp.state()));
+    EXPECT_EQ(Translator.run(Interp, 50000000ULL).Kind, StopKind::Halted);
+    uint64_t CacheEnd = CacheBase;
+    for (const TranslatedBlock &TB : Translator.blocks())
+      CacheEnd = std::max(CacheEnd, TB.CacheAddr + TB.CacheSize);
+    CachePages = (CacheEnd - CacheBase + PageSize - 1) / PageSize;
+    return Mem.regionCount();
+  };
+  // Code, data, stack and code cache.
+  constexpr size_t Regions = 4;
+  uint64_t CachePages = 0;
+  EXPECT_EQ(RunTranslated(assembleWorkload("164.gzip"), CachePages), Regions);
+  // 164.gzip's cache fits in one page; a long random program's does not.
+  RandomProgramOptions Options;
+  Options.NumSegments = 80;
+  Options.Seed = 3;
+  AsmResult R = assembleProgram(generateRandomProgram(Options));
+  ASSERT_TRUE(R.succeeded());
+  EXPECT_EQ(RunTranslated(R.Program, CachePages), Regions);
+  EXPECT_GE(CachePages, 6u);
 }
 

@@ -119,6 +119,19 @@ if [ "$REF_SUM" != "$MERGED_SUM" ]; then
 fi
 echo "sharded campaign merge matches unsharded reference"
 echo "  $MERGED_SUM"
+# The comparison above only checks the binary against itself. The
+# unsharded summary is also pinned to the line recorded before injections
+# started resuming at golden-run snapshots, so drift in per-injection
+# outcomes fails here too.
+PINNED_SUM="campaign-summary: injections=40 detected_sig=7 detected_hw=32 masked=1 sdc=0 timeout=0 skipped=0"
+if [ "$REF_SUM" != "$PINNED_SUM" ]; then
+  echo "check_bench_regression: unsharded campaign summary drifted from" \
+       "the pinned line" >&2
+  echo "  pinned: $PINNED_SUM" >&2
+  echo "  now:    $REF_SUM" >&2
+  exit 1
+fi
+echo "unsharded campaign summary matches the pinned line"
 
 # --- Sharded propagation-tally smoke ----------------------------------------
 # The same 2-shard/unsharded comparison with fault-propagation tracking
